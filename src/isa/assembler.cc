@@ -1,10 +1,11 @@
 #include "isa/assembler.hh"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <cstring>
 #include <optional>
-#include <sstream>
-#include <unordered_map>
+#include <string_view>
 
 #include "isa/encoding.hh"
 #include "sim/logging.hh"
@@ -15,12 +16,14 @@ namespace visa
 namespace
 {
 
-/** How an immediate/operand is resolved in pass 2. */
+using std::string_view;
+
+/** How an immediate/operand is resolved once every label is known. */
 struct ImmSpec
 {
     enum Kind { None, Literal, Symbol, SymbolHi, SymbolLo } kind = None;
     std::int64_t value = 0;     ///< literal value or symbol addend
-    std::string symbol;
+    string_view symbol;         ///< a view into the source text
 };
 
 /** An instruction awaiting symbol resolution. */
@@ -36,7 +39,7 @@ struct ProtoInst
 struct DataFixup
 {
     std::size_t offset;         ///< byte offset in the data vector
-    std::string symbol;
+    string_view symbol;
     std::int64_t addend;
     int line;
 };
@@ -47,143 +50,314 @@ asmError(int line, const std::string &msg)
     fatal("assembler: line %d: %s", line, msg.c_str());
 }
 
-/** Split a statement into comma/whitespace-separated operand tokens. */
-std::vector<std::string>
-splitOperands(const std::string &s)
+std::string
+quoted(string_view tok)
 {
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : s) {
-        if (c == ',') {
-            if (!cur.empty()) { out.push_back(cur); cur.clear(); }
-        } else if (std::isspace(static_cast<unsigned char>(c))) {
-            if (!cur.empty()) { out.push_back(cur); cur.clear(); }
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    return out;
+    return "'" + std::string(tok) + "'";
 }
 
-/** Parse a register token; returns {isFp, index} or nullopt. */
-std::optional<std::pair<bool, int>>
-parseReg(const std::string &tok)
+// Character classes of the "C" locale, without the locale lookup.
+constexpr bool
+isSpace(char c)
 {
-    static const std::unordered_map<std::string, int> aliases = {
-        {"zero", 0}, {"at", 1}, {"gp", 28}, {"sp", 29},
-        {"fp", 30}, {"ra", 31},
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+constexpr bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+constexpr bool
+isXDigit(char c)
+{
+    return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F');
+}
+
+constexpr bool
+isLabelChar(char c)
+{
+    return isDigit(c) || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+           c == '_' || c == '.';
+}
+
+string_view
+skipSpace(string_view s)
+{
+    std::size_t i = 0;
+    while (i < s.size() && isSpace(s[i]))
+        ++i;
+    return s.substr(i);
+}
+
+/**
+ * Consume and return the next comma/whitespace-separated token of
+ * @p rest; empty once @p rest holds no more tokens.
+ */
+string_view
+nextToken(string_view &rest)
+{
+    std::size_t i = 0;
+    while (i < rest.size() && (rest[i] == ',' || isSpace(rest[i])))
+        ++i;
+    std::size_t j = i;
+    while (j < rest.size() && rest[j] != ',' && !isSpace(rest[j]))
+        ++j;
+    const string_view tok = rest.substr(i, j - i);
+    rest.remove_prefix(j);
+    return tok;
+}
+
+/**
+ * The operands of one statement. Keeps the first three tokens (no
+ * instruction or fixed-arity directive takes more) but counts them all,
+ * so arity errors report the real number.
+ */
+class Operands
+{
+  public:
+    explicit Operands(string_view rest)
+    {
+        for (string_view tok = nextToken(rest); !tok.empty();
+             tok = nextToken(rest)) {
+            if (count_ < toks_.size())
+                toks_[count_] = tok;
+            ++count_;
+        }
+    }
+
+    std::size_t size() const { return count_; }
+    string_view operator[](std::size_t i) const { return toks_[i]; }
+
+  private:
+    std::array<string_view, 3> toks_;
+    std::size_t count_ = 0;
+};
+
+/** A register operand: integer or FP file, or neither (index < 0). */
+struct Reg
+{
+    bool fp = false;
+    int index = -1;
+};
+
+Reg
+parseReg(string_view tok)
+{
+    if (tok.size() >= 2 && (tok[0] == 'r' || tok[0] == 'f') &&
+        isDigit(tok[1])) {
+        unsigned index = 0;
+        const char *end = tok.data() + tok.size();
+        auto [p, ec] = std::from_chars(tok.data() + 1, end, index);
+        if (ec != std::errc() || p != end || index >= 32)
+            return {};
+        return {tok[0] == 'f', static_cast<int>(index)};
+    }
+    static constexpr std::pair<string_view, int> aliases[] = {
+        {"zero", reg::zero}, {"at", reg::at}, {"gp", reg::gp},
+        {"sp", reg::sp},     {"fp", reg::fp}, {"ra", reg::ra},
     };
-    auto a = aliases.find(tok);
-    if (a != aliases.end())
-        return {{false, a->second}};
-    if (tok.size() >= 2 && (tok[0] == 'r' || tok[0] == 'f')) {
-        bool all_digits = true;
-        for (std::size_t i = 1; i < tok.size(); ++i)
-            if (!std::isdigit(static_cast<unsigned char>(tok[i])))
-                all_digits = false;
-        if (all_digits) {
-            int idx = std::stoi(tok.substr(1));
-            if (idx >= 0 && idx < 32)
-                return {{tok[0] == 'f', idx}};
-        }
-    }
-    return std::nullopt;
+    for (const auto &[name, index] : aliases)
+        if (tok == name)
+            return {false, index};
+    return {};
 }
 
+/** A C-style integer literal split into sign, radix and digits. */
+struct IntLiteral
+{
+    bool neg = false;
+    int base = 10;
+    string_view digits;     ///< after any sign and 0x / 0 prefix
+};
+
+IntLiteral
+splitIntLiteral(string_view tok)
+{
+    IntLiteral lit;
+    if (!tok.empty() && (tok[0] == '-' || tok[0] == '+')) {
+        lit.neg = tok[0] == '-';
+        tok.remove_prefix(1);
+    }
+    if (tok.size() > 2 && tok[0] == '0' && (tok[1] == 'x' || tok[1] == 'X')) {
+        lit.base = 16;
+        tok.remove_prefix(2);
+    } else if (tok.size() > 1 && tok[0] == '0') {
+        lit.base = 8;
+        tok.remove_prefix(1);
+    }
+    lit.digits = tok;
+    return lit;
+}
+
+/** Shape of an integer literal: [+-] then decimal digits or 0x hex. */
 bool
-isIntLiteral(const std::string &tok)
+isIntLiteral(string_view tok)
 {
-    if (tok.empty())
-        return false;
-    std::size_t i = (tok[0] == '-' || tok[0] == '+') ? 1 : 0;
-    if (i >= tok.size())
-        return false;
-    if (tok.size() > i + 2 && tok[i] == '0' &&
-        (tok[i + 1] == 'x' || tok[i + 1] == 'X')) {
-        for (std::size_t k = i + 2; k < tok.size(); ++k)
-            if (!std::isxdigit(static_cast<unsigned char>(tok[k])))
-                return false;
-        return true;
-    }
-    for (std::size_t k = i; k < tok.size(); ++k)
-        if (!std::isdigit(static_cast<unsigned char>(tok[k])))
-            return false;
-    return true;
+    const IntLiteral lit = splitIntLiteral(tok);
+    return !lit.digits.empty() &&
+           std::all_of(lit.digits.begin(), lit.digits.end(),
+                       lit.base == 16 ? isXDigit : isDigit);
 }
 
+/**
+ * Value of an integer literal (decimal, 0x hex or 0 octal, optionally
+ * signed). The whole token must parse and fit in 64 signed bits.
+ */
 std::int64_t
-parseIntLiteral(const std::string &tok, int line)
+parseIntLiteral(string_view tok, int line)
 {
-    try {
-        return std::stoll(tok, nullptr, 0);
-    } catch (...) {
-        asmError(line, "bad integer literal '" + tok + "'");
-    }
+    const IntLiteral lit = splitIntLiteral(tok);
+    std::uint64_t mag = 0;
+    const char *end = lit.digits.data() + lit.digits.size();
+    auto [p, ec] = std::from_chars(lit.digits.data(), end, mag, lit.base);
+    const std::uint64_t limit = (std::uint64_t{1} << 63) - (lit.neg ? 0 : 1);
+    if (ec != std::errc() || p != end || mag > limit)
+        asmError(line, "bad integer literal " + quoted(tok));
+    return static_cast<std::int64_t>(lit.neg ? 0 - mag : mag);
 }
 
 /** Parse an immediate operand: literal, %hi(sym), %lo(sym), or symbol. */
 ImmSpec
-parseImm(const std::string &tok, int line)
+parseImm(string_view tok, int line)
 {
-    ImmSpec spec;
-    if (isIntLiteral(tok)) {
-        spec.kind = ImmSpec::Literal;
-        spec.value = parseIntLiteral(tok, line);
-        return spec;
-    }
-    auto wrapped = [&](const char *prefix) -> std::optional<std::string> {
-        std::size_t n = std::strlen(prefix);
-        if (tok.size() > n + 1 && tok.compare(0, n, prefix) == 0 &&
-            tok[n] == '(' && tok.back() == ')') {
-            return tok.substr(n + 1, tok.size() - n - 2);
-        }
-        return std::nullopt;
-    };
-    if (auto s = wrapped("%hi")) {
-        spec.kind = ImmSpec::SymbolHi;
-        spec.symbol = *s;
-        return spec;
-    }
-    if (auto s = wrapped("%lo")) {
-        spec.kind = ImmSpec::SymbolLo;
-        spec.symbol = *s;
-        return spec;
+    if (isIntLiteral(tok))
+        return {ImmSpec::Literal, parseIntLiteral(tok, line), {}};
+    if (tok.size() > 4 && tok[3] == '(' && tok.back() == ')') {
+        const string_view fn = tok.substr(0, 3);
+        const string_view sym = tok.substr(4, tok.size() - 5);
+        if (fn == "%hi")
+            return {ImmSpec::SymbolHi, 0, sym};
+        if (fn == "%lo")
+            return {ImmSpec::SymbolLo, 0, sym};
     }
     // symbol, optionally with +addend
-    auto plus = tok.find('+');
-    spec.kind = ImmSpec::Symbol;
-    if (plus != std::string::npos) {
-        spec.symbol = tok.substr(0, plus);
-        spec.value = parseIntLiteral(tok.substr(plus + 1), line);
-    } else {
-        spec.symbol = tok;
-    }
-    return spec;
+    const auto plus = tok.find('+');
+    if (plus == string_view::npos)
+        return {ImmSpec::Symbol, 0, tok};
+    return {ImmSpec::Symbol, parseIntLiteral(tok.substr(plus + 1), line),
+            tok.substr(0, plus)};
 }
 
-/** Parse "off(base)" memory operand. @return {imm, baseReg}. */
-std::pair<ImmSpec, int>
-parseMemOperand(const std::string &tok, int line)
+/** How a mnemonic's operands become one or more instructions. */
+enum class Form : std::uint8_t
 {
-    auto open = tok.rfind('(');
-    if (open == std::string::npos || tok.back() != ')')
-        asmError(line, "bad memory operand '" + tok + "'");
-    std::string off = tok.substr(0, open);
-    std::string base = tok.substr(open + 1, tok.size() - open - 2);
-    auto breg = parseReg(base);
-    if (!breg || breg->first)
-        asmError(line, "bad base register in '" + tok + "'");
-    ImmSpec imm;
-    if (off.empty()) {
-        imm.kind = ImmSpec::Literal;
-        imm.value = 0;
-    } else {
-        imm = parseImm(off, line);
-    }
-    return {imm, breg->second};
+    Plain,      ///< one instruction; operands fill the fields in `roles`
+    Jalr,       ///< "jalr rs" (rd = ra) or "jalr rd, rs"
+    Li,         ///< literal load: addi, or lui [+ ori]
+    La,         ///< symbol address: lui %hi + ori %lo
+    Subi,       ///< addi of the negated literal
+    CmpBranch,  ///< slt at, a, b + branch on at
+    CmpBranchSwapped,   ///< slt at, b, a + branch on at
+};
+
+/**
+ * One assembler mnemonic. `roles` names, per operand in order, the
+ * field it fills: d/s/t an integer rd/rs/rt, D/S/T an FP rd/rs/rt,
+ * i the immediate, m an "off(base)" memory operand (imm + base in rs).
+ * Fields no operand names stay 0, i.e. r0/f0 and no immediate.
+ */
+struct Mnemonic
+{
+    string_view name;
+    Opcode op = Opcode::NOP;
+    string_view roles;
+    Form form = Form::Plain;
+};
+
+constexpr Mnemonic kMnemonics[] = {
+    {"add", Opcode::ADD, "dst"},      {"sub", Opcode::SUB, "dst"},
+    {"mul", Opcode::MUL, "dst"},      {"div", Opcode::DIV, "dst"},
+    {"rem", Opcode::REM, "dst"},      {"and", Opcode::AND, "dst"},
+    {"or", Opcode::OR, "dst"},        {"xor", Opcode::XOR, "dst"},
+    {"nor", Opcode::NOR, "dst"},      {"slt", Opcode::SLT, "dst"},
+    {"sltu", Opcode::SLTU, "dst"},    {"sllv", Opcode::SLLV, "dst"},
+    {"srlv", Opcode::SRLV, "dst"},    {"srav", Opcode::SRAV, "dst"},
+    {"sll", Opcode::SLL, "dsi"},      {"srl", Opcode::SRL, "dsi"},
+    {"sra", Opcode::SRA, "dsi"},      {"addi", Opcode::ADDI, "dsi"},
+    {"andi", Opcode::ANDI, "dsi"},    {"ori", Opcode::ORI, "dsi"},
+    {"xori", Opcode::XORI, "dsi"},    {"slti", Opcode::SLTI, "dsi"},
+    {"sltiu", Opcode::SLTIU, "dsi"},  {"lui", Opcode::LUI, "di"},
+    {"lb", Opcode::LB, "dm"},         {"lbu", Opcode::LBU, "dm"},
+    {"lh", Opcode::LH, "dm"},         {"lhu", Opcode::LHU, "dm"},
+    {"lw", Opcode::LW, "dm"},         {"ldc1", Opcode::LDC1, "Dm"},
+    {"l.d", Opcode::LDC1, "Dm"},      {"sb", Opcode::SB, "tm"},
+    {"sh", Opcode::SH, "tm"},         {"sw", Opcode::SW, "tm"},
+    {"sdc1", Opcode::SDC1, "Tm"},     {"s.d", Opcode::SDC1, "Tm"},
+    {"beq", Opcode::BEQ, "sti"},      {"bne", Opcode::BNE, "sti"},
+    {"blez", Opcode::BLEZ, "si"},     {"bgtz", Opcode::BGTZ, "si"},
+    {"bltz", Opcode::BLTZ, "si"},     {"bgez", Opcode::BGEZ, "si"},
+    {"bc1t", Opcode::BC1T, "i"},      {"bc1f", Opcode::BC1F, "i"},
+    {"j", Opcode::J, "i"},            {"jal", Opcode::JAL, "i"},
+    {"jr", Opcode::JR, "s"},          {"jalr", Opcode::JALR, "ds", Form::Jalr},
+    {"add.d", Opcode::ADD_D, "DST"},  {"sub.d", Opcode::SUB_D, "DST"},
+    {"mul.d", Opcode::MUL_D, "DST"},  {"div.d", Opcode::DIV_D, "DST"},
+    {"neg.d", Opcode::NEG_D, "DS"},   {"abs.d", Opcode::ABS_D, "DS"},
+    {"mov.d", Opcode::MOV_D, "DS"},   {"cvt.d.w", Opcode::CVT_D_W, "Ds"},
+    {"cvt.w.d", Opcode::CVT_W_D, "dS"},
+    {"c.eq.d", Opcode::C_EQ_D, "ST"}, {"c.lt.d", Opcode::C_LT_D, "ST"},
+    {"c.le.d", Opcode::C_LE_D, "ST"}, {"nop", Opcode::NOP, ""},
+    {"halt", Opcode::HALT, ""},
+    // ---- pseudo-instructions ----
+    {"li", Opcode::ADDI, "di", Form::Li},
+    {"la", Opcode::LUI, "di", Form::La},
+    {"move", Opcode::OR, "ds"},       {"b", Opcode::BEQ, "i"},
+    {"blt", Opcode::BNE, "sti", Form::CmpBranch},
+    {"bge", Opcode::BEQ, "sti", Form::CmpBranch},
+    {"bgt", Opcode::BNE, "sti", Form::CmpBranchSwapped},
+    {"ble", Opcode::BEQ, "sti", Form::CmpBranchSwapped},
+    {"subi", Opcode::ADDI, "dsi", Form::Subi},
+    {"neg", Opcode::SUB, "dt"},       {"not", Opcode::NOR, "ds"},
+};
+
+/**
+ * A name of up to 7 characters packed into one integer, its length in
+ * the top byte, so the mnemonic search compares integers instead of
+ * strings; 0 for longer names (no mnemonic is longer).
+ */
+constexpr std::uint64_t
+nameKey(string_view name)
+{
+    if (name.size() > 7)
+        return 0;
+    std::uint64_t key = std::uint64_t{name.size()} << 56;
+    for (std::size_t i = 0; i < name.size(); ++i)
+        key |= std::uint64_t{static_cast<unsigned char>(name[i])} << (8 * i);
+    return key;
 }
+
+/** kMnemonics sorted by nameKey, for binary search. */
+constexpr auto kMnemonicIndex = [] {
+    std::array<std::pair<std::uint64_t, const Mnemonic *>,
+               std::size(kMnemonics)> t{};
+    for (std::size_t i = 0; i < t.size(); ++i)
+        t[i] = {nameKey(kMnemonics[i].name), &kMnemonics[i]};
+    std::sort(t.begin(), t.end());
+    return t;
+}();
+
+static_assert(std::adjacent_find(kMnemonicIndex.begin(),
+                                 kMnemonicIndex.end(),
+                                 [](const auto &a, const auto &b) {
+                                     return a.first == b.first;
+                                 }) == kMnemonicIndex.end() &&
+                  kMnemonicIndex.front().first != 0,
+              "mnemonics must be unique and at most 7 characters");
+
+const Mnemonic *
+findMnemonic(string_view name)
+{
+    const std::uint64_t key = nameKey(name);
+    auto it = std::lower_bound(
+        kMnemonicIndex.begin(), kMnemonicIndex.end(), key,
+        [](const auto &entry, std::uint64_t k) { return entry.first < k; });
+    return it != kMnemonicIndex.end() && it->first == key ? it->second
+                                                          : nullptr;
+}
+
+/** Largest `.align` exponent: 64 KiB boundaries. */
+constexpr std::int64_t maxAlignLog2 = 16;
 
 /** The assembler state machine. */
 class Assembler
@@ -196,18 +370,19 @@ class Assembler
         prog.entry = text_base;
     }
 
-    Program run(const std::string &source);
+    Program run(string_view source);
 
   private:
-    void processLine(std::string line);
-    void directive(const std::string &dir, const std::string &rest);
-    void instruction(const std::string &mnem,
-                     const std::vector<std::string> &ops);
+    void processLine(string_view line);
+    void directive(string_view dir, string_view rest);
+    void dataValues(string_view dir, string_view rest);
+    void instruction(string_view mnem, const Operands &ops);
+    void fillOperands(ProtoInst &p, string_view roles, const Operands &ops);
     void emit(ProtoInst pi);
     void resolve();
 
-    int intReg(const std::string &tok);
-    int fpReg(const std::string &tok);
+    int intReg(string_view tok);
+    int fpReg(string_view tok);
 
     Addr curTextAddr() const
     {
@@ -221,25 +396,25 @@ class Assembler
     int lineNo = 0;
     std::optional<std::uint64_t> pendingLoopBound;
     std::optional<int> pendingSubtask;
-    std::string entryLabel;
+    string_view entryLabel;
 };
 
 int
-Assembler::intReg(const std::string &tok)
+Assembler::intReg(string_view tok)
 {
-    auto r = parseReg(tok);
-    if (!r || r->first)
-        asmError(lineNo, "expected integer register, got '" + tok + "'");
-    return r->second;
+    const Reg r = parseReg(tok);
+    if (r.index < 0 || r.fp)
+        asmError(lineNo, "expected integer register, got " + quoted(tok));
+    return r.index;
 }
 
 int
-Assembler::fpReg(const std::string &tok)
+Assembler::fpReg(string_view tok)
 {
-    auto r = parseReg(tok);
-    if (!r || !r->first)
-        asmError(lineNo, "expected FP register, got '" + tok + "'");
-    return r->second;
+    const Reg r = parseReg(tok);
+    if (r.index < 0 || !r.fp)
+        asmError(lineNo, "expected FP register, got " + quoted(tok));
+    return r.index;
 }
 
 void
@@ -254,13 +429,25 @@ Assembler::emit(ProtoInst pi)
         prog.subtaskStarts[curTextAddr()] = *pendingSubtask;
         pendingSubtask.reset();
     }
-    protos.push_back(std::move(pi));
+    protos.push_back(pi);
 }
 
 void
-Assembler::directive(const std::string &dir, const std::string &rest)
+Assembler::directive(string_view dir, string_view rest)
 {
-    auto ops = splitOperands(rest);
+    if (dir == ".word" || dir == ".half" || dir == ".byte" ||
+        dir == ".double" || dir == ".ascii" || dir == ".asciz") {
+        if (inText)
+            asmError(lineNo, std::string(dir) + " only allowed in .data");
+        dataValues(dir, rest);
+        return;
+    }
+    const Operands ops(rest);
+    auto oneInt = [&] {
+        if (ops.size() != 1 || !isIntLiteral(ops[0]))
+            asmError(lineNo, std::string(dir) + " needs one integer");
+        return parseIntLiteral(ops[0], lineNo);
+    };
     if (dir == ".text") {
         inText = true;
     } else if (dir == ".data") {
@@ -276,64 +463,58 @@ Assembler::directive(const std::string &dir, const std::string &rest)
         // symbol operand is (immediates, %hi/%lo, .word).
         if (ops.size() != 2 || !isIntLiteral(ops[1]))
             asmError(lineNo, ".equ needs a name and an integer");
-        if (prog.symbols.count(ops[0]))
-            asmError(lineNo, "duplicate symbol '" + ops[0] + "'");
-        prog.symbols[ops[0]] =
-            static_cast<Addr>(parseIntLiteral(ops[1], lineNo));
+        auto [it, fresh] = prog.symbols.try_emplace(std::string(ops[0]));
+        if (!fresh)
+            asmError(lineNo, "duplicate symbol " + quoted(ops[0]));
+        it->second = static_cast<Addr>(parseIntLiteral(ops[1], lineNo));
     } else if (dir == ".loopbound") {
-        if (ops.size() != 1 || !isIntLiteral(ops[0]))
-            asmError(lineNo, ".loopbound needs one integer");
-        pendingLoopBound = static_cast<std::uint64_t>(
-            parseIntLiteral(ops[0], lineNo));
+        const std::int64_t n = oneInt();
+        if (n < 1)
+            asmError(lineNo, ".loopbound must be at least 1");
+        pendingLoopBound = static_cast<std::uint64_t>(n);
     } else if (dir == ".subtask") {
-        if (ops.size() != 1 || !isIntLiteral(ops[0]))
-            asmError(lineNo, ".subtask needs one integer");
-        pendingSubtask = static_cast<int>(parseIntLiteral(ops[0], lineNo));
-    } else if (dir == ".word" || dir == ".half" || dir == ".byte") {
+        pendingSubtask = static_cast<int>(oneInt());
+    } else if (dir == ".space") {
         if (inText)
-            asmError(lineNo, dir + " only allowed in .data");
-        int width = dir == ".word" ? 4 : dir == ".half" ? 2 : 1;
-        for (const auto &tok : ops) {
-            if (isIntLiteral(tok)) {
-                std::int64_t v = parseIntLiteral(tok, lineNo);
-                for (int b = 0; b < width; ++b)
-                    prog.data.push_back(
-                        static_cast<std::uint8_t>((v >> (8 * b)) & 0xFF));
-            } else {
-                if (width != 4)
-                    asmError(lineNo, "symbol data must be .word");
-                ImmSpec s = parseImm(tok, lineNo);
-                dataFixups.push_back(
-                    {prog.data.size(), s.symbol, s.value, lineNo});
-                for (int b = 0; b < 4; ++b)
-                    prog.data.push_back(0);
-            }
+            asmError(lineNo, ".space only allowed in .data");
+        const std::int64_t n = oneInt();
+        // The segment has to fit the 32-bit address space.
+        const std::uint64_t room = (std::uint64_t{1} << 32) - prog.dataBase;
+        if (n < 0 || prog.data.size() + static_cast<std::uint64_t>(n) > room)
+            asmError(lineNo, ".space size out of range");
+        prog.data.resize(prog.data.size() + static_cast<std::size_t>(n));
+    } else if (dir == ".align") {
+        const std::int64_t n = oneInt();
+        if (n < 0 || n > maxAlignLog2)
+            asmError(lineNo, ".align exponent out of range (0.." +
+                                 std::to_string(maxAlignLog2) + ")");
+        const std::size_t align = std::size_t{1} << n;
+        if (inText) {
+            while ((protos.size() * 4) % align != 0)
+                emit(ProtoInst{});
+        } else {
+            prog.data.resize((prog.data.size() + align - 1) & ~(align - 1));
         }
-    } else if (dir == ".double") {
-        if (inText)
-            asmError(lineNo, ".double only allowed in .data");
-        for (const auto &tok : ops) {
-            double d;
-            try {
-                d = std::stod(tok);
-            } catch (...) {
-                asmError(lineNo, "bad double literal '" + tok + "'");
-            }
-            std::uint64_t bits;
-            std::memcpy(&bits, &d, 8);
-            for (int b = 0; b < 8; ++b)
-                prog.data.push_back(
-                    static_cast<std::uint8_t>((bits >> (8 * b)) & 0xFF));
-        }
-    } else if (dir == ".ascii" || dir == ".asciz") {
-        if (inText)
-            asmError(lineNo, dir + " only allowed in .data");
+    } else {
+        asmError(lineNo, "unknown directive " + quoted(dir));
+    }
+}
+
+void
+Assembler::dataValues(string_view dir, string_view rest)
+{
+    auto put = [&](std::uint64_t v, int width) {
+        for (int b = 0; b < width; ++b)
+            prog.data.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+    };
+    if (dir == ".ascii" || dir == ".asciz") {
         // The operand is everything between the first and last quote.
-        auto first = rest.find('"');
-        auto last = rest.rfind('"');
-        if (first == std::string::npos || last <= first)
-            asmError(lineNo, dir + " needs a double-quoted string");
-        std::string text = rest.substr(first + 1, last - first - 1);
+        const auto first = rest.find('"');
+        const auto last = rest.rfind('"');
+        if (first == string_view::npos || last <= first)
+            asmError(lineNo, std::string(dir) +
+                                 " needs a double-quoted string");
+        const string_view text = rest.substr(first + 1, last - first - 1);
         for (std::size_t i = 0; i < text.size(); ++i) {
             char c = text[i];
             if (c == '\\' && i + 1 < text.size()) {
@@ -345,428 +526,192 @@ Assembler::directive(const std::string &dir, const std::string &rest)
         }
         if (dir == ".asciz")
             prog.data.push_back(0);
-    } else if (dir == ".space") {
-        if (inText)
-            asmError(lineNo, ".space only allowed in .data");
-        if (ops.size() != 1 || !isIntLiteral(ops[0]))
-            asmError(lineNo, ".space needs one integer");
-        std::int64_t n = parseIntLiteral(ops[0], lineNo);
-        prog.data.insert(prog.data.end(), static_cast<std::size_t>(n), 0);
-    } else if (dir == ".align") {
-        if (ops.size() != 1 || !isIntLiteral(ops[0]))
-            asmError(lineNo, ".align needs one integer");
-        std::size_t align = 1ULL << parseIntLiteral(ops[0], lineNo);
-        if (inText) {
-            while ((protos.size() * 4) % align != 0)
-                emit(ProtoInst{Opcode::NOP, 0, 0, 0, {}, lineNo});
+        return;
+    }
+    const int width = dir == ".word" ? 4 : dir == ".half" ? 2 : 1;
+    for (string_view tok = nextToken(rest); !tok.empty();
+         tok = nextToken(rest)) {
+        if (dir == ".double") {
+            double d;
+            try {
+                d = std::stod(std::string(tok));
+            } catch (...) {
+                asmError(lineNo, "bad double literal " + quoted(tok));
+            }
+            std::uint64_t bits;
+            std::memcpy(&bits, &d, 8);
+            put(bits, 8);
+        } else if (isIntLiteral(tok)) {
+            put(static_cast<std::uint64_t>(parseIntLiteral(tok, lineNo)),
+                width);
         } else {
-            while (prog.data.size() % align != 0)
-                prog.data.push_back(0);
+            if (width != 4)
+                asmError(lineNo, "symbol data must be .word");
+            const ImmSpec s = parseImm(tok, lineNo);
+            dataFixups.push_back(
+                {prog.data.size(), s.symbol, s.value, lineNo});
+            put(0, 4);
         }
-    } else {
-        asmError(lineNo, "unknown directive '" + dir + "'");
     }
 }
 
 void
-Assembler::instruction(const std::string &mnem,
-                       const std::vector<std::string> &ops)
+Assembler::fillOperands(ProtoInst &p, string_view roles, const Operands &ops)
 {
-    auto need = [&](std::size_t n) {
-        if (ops.size() != n) {
-            asmError(lineNo, mnem + " expects " + std::to_string(n) +
-                             " operands, got " + std::to_string(ops.size()));
+    for (std::size_t k = 0; k < roles.size(); ++k) {
+        const string_view tok = ops[k];
+        switch (roles[k]) {
+          case 'd': p.rd = static_cast<std::uint8_t>(intReg(tok)); break;
+          case 's': p.rs = static_cast<std::uint8_t>(intReg(tok)); break;
+          case 't': p.rt = static_cast<std::uint8_t>(intReg(tok)); break;
+          case 'D': p.rd = static_cast<std::uint8_t>(fpReg(tok)); break;
+          case 'S': p.rs = static_cast<std::uint8_t>(fpReg(tok)); break;
+          case 'T': p.rt = static_cast<std::uint8_t>(fpReg(tok)); break;
+          case 'i': p.imm = parseImm(tok, lineNo); break;
+          case 'm': {
+            const auto open = tok.rfind('(');
+            if (open == string_view::npos || tok.back() != ')')
+                asmError(lineNo, "bad memory operand " + quoted(tok));
+            const Reg base =
+                parseReg(tok.substr(open + 1, tok.size() - open - 2));
+            if (base.index < 0 || base.fp)
+                asmError(lineNo, "bad base register in " + quoted(tok));
+            p.rs = static_cast<std::uint8_t>(base.index);
+            p.imm = open == 0 ? ImmSpec{ImmSpec::Literal, 0, {}}
+                              : parseImm(tok.substr(0, open), lineNo);
+            break;
+          }
         }
-    };
-    auto rrr = [&](Opcode o) {
-        need(3);
-        ProtoInst p;
-        p.op = o;
-        p.rd = static_cast<std::uint8_t>(intReg(ops[0]));
-        p.rs = static_cast<std::uint8_t>(intReg(ops[1]));
-        p.rt = static_cast<std::uint8_t>(intReg(ops[2]));
-        emit(p);
-    };
-    auto shiftImm = [&](Opcode o) {
-        need(3);
-        ProtoInst p;
-        p.op = o;
-        p.rd = static_cast<std::uint8_t>(intReg(ops[0]));
-        p.rs = static_cast<std::uint8_t>(intReg(ops[1]));
-        p.imm = parseImm(ops[2], lineNo);
-        emit(p);
-    };
-    auto ialu = [&](Opcode o) {
-        need(3);
-        ProtoInst p;
-        p.op = o;
-        p.rd = static_cast<std::uint8_t>(intReg(ops[0]));
-        p.rs = static_cast<std::uint8_t>(intReg(ops[1]));
-        p.imm = parseImm(ops[2], lineNo);
-        emit(p);
-    };
-    auto mem = [&](Opcode o, bool is_store, bool is_fp) {
-        need(2);
-        ProtoInst p;
-        p.op = o;
-        int dreg = is_fp ? fpReg(ops[0]) : intReg(ops[0]);
-        auto [imm, base] = parseMemOperand(ops[1], lineNo);
-        p.imm = imm;
-        p.rs = static_cast<std::uint8_t>(base);
-        if (is_store)
-            p.rt = static_cast<std::uint8_t>(dreg);
-        else
-            p.rd = static_cast<std::uint8_t>(dreg);
-        emit(p);
-    };
-    auto br2 = [&](Opcode o) {
-        need(3);
-        ProtoInst p;
-        p.op = o;
-        p.rs = static_cast<std::uint8_t>(intReg(ops[0]));
-        p.rt = static_cast<std::uint8_t>(intReg(ops[1]));
-        p.imm = parseImm(ops[2], lineNo);
-        emit(p);
-    };
-    auto br1 = [&](Opcode o) {
-        need(2);
-        ProtoInst p;
-        p.op = o;
-        p.rs = static_cast<std::uint8_t>(intReg(ops[0]));
-        p.imm = parseImm(ops[1], lineNo);
-        emit(p);
-    };
-    auto brf = [&](Opcode o) {
-        need(1);
-        ProtoInst p;
-        p.op = o;
-        p.imm = parseImm(ops[0], lineNo);
-        emit(p);
-    };
-    auto f3 = [&](Opcode o) {
-        need(3);
-        ProtoInst p;
-        p.op = o;
-        p.rd = static_cast<std::uint8_t>(fpReg(ops[0]));
-        p.rs = static_cast<std::uint8_t>(fpReg(ops[1]));
-        p.rt = static_cast<std::uint8_t>(fpReg(ops[2]));
-        emit(p);
-    };
-    auto f2 = [&](Opcode o) {
-        need(2);
-        ProtoInst p;
-        p.op = o;
-        p.rd = static_cast<std::uint8_t>(fpReg(ops[0]));
-        p.rs = static_cast<std::uint8_t>(fpReg(ops[1]));
-        emit(p);
-    };
-    auto fcmp = [&](Opcode o) {
-        need(2);
-        ProtoInst p;
-        p.op = o;
-        p.rs = static_cast<std::uint8_t>(fpReg(ops[0]));
-        p.rt = static_cast<std::uint8_t>(fpReg(ops[1]));
-        emit(p);
-    };
-    // Pseudo-instruction helper: cmp+branch via the at register.
-    auto cmpBranch = [&](bool swap, Opcode br) {
-        need(3);
-        ProtoInst cmp;
-        cmp.op = Opcode::SLT;
-        cmp.rd = reg::at;
-        cmp.rs = static_cast<std::uint8_t>(intReg(swap ? ops[1] : ops[0]));
-        cmp.rt = static_cast<std::uint8_t>(intReg(swap ? ops[0] : ops[1]));
-        emit(cmp);
-        ProtoInst b;
-        b.op = br;
-        b.rs = reg::at;
-        b.rt = reg::zero;
-        b.imm = parseImm(ops[2], lineNo);
-        emit(b);
-    };
+    }
+}
 
-    if (mnem == "add") rrr(Opcode::ADD);
-    else if (mnem == "sub") rrr(Opcode::SUB);
-    else if (mnem == "mul") rrr(Opcode::MUL);
-    else if (mnem == "div") rrr(Opcode::DIV);
-    else if (mnem == "rem") rrr(Opcode::REM);
-    else if (mnem == "and") rrr(Opcode::AND);
-    else if (mnem == "or") rrr(Opcode::OR);
-    else if (mnem == "xor") rrr(Opcode::XOR);
-    else if (mnem == "nor") rrr(Opcode::NOR);
-    else if (mnem == "slt") rrr(Opcode::SLT);
-    else if (mnem == "sltu") rrr(Opcode::SLTU);
-    else if (mnem == "sllv") rrr(Opcode::SLLV);
-    else if (mnem == "srlv") rrr(Opcode::SRLV);
-    else if (mnem == "srav") rrr(Opcode::SRAV);
-    else if (mnem == "sll") shiftImm(Opcode::SLL);
-    else if (mnem == "srl") shiftImm(Opcode::SRL);
-    else if (mnem == "sra") shiftImm(Opcode::SRA);
-    else if (mnem == "addi") ialu(Opcode::ADDI);
-    else if (mnem == "andi") ialu(Opcode::ANDI);
-    else if (mnem == "ori") ialu(Opcode::ORI);
-    else if (mnem == "xori") ialu(Opcode::XORI);
-    else if (mnem == "slti") ialu(Opcode::SLTI);
-    else if (mnem == "sltiu") ialu(Opcode::SLTIU);
-    else if (mnem == "lui") {
-        need(2);
-        ProtoInst p;
-        p.op = Opcode::LUI;
-        p.rd = static_cast<std::uint8_t>(intReg(ops[0]));
-        p.imm = parseImm(ops[1], lineNo);
+void
+Assembler::instruction(string_view mnem, const Operands &ops)
+{
+    const Mnemonic *m = findMnemonic(mnem);
+    if (!m)
+        asmError(lineNo, "unknown mnemonic " + quoted(mnem));
+    ProtoInst p;
+    p.op = m->op;
+    string_view roles = m->roles;
+    if (m->form == Form::Jalr && ops.size() == 1) {
+        p.rd = reg::ra;
+        roles = "s";
+    }
+    if (ops.size() != roles.size())
+        asmError(lineNo, std::string(mnem) + " expects " +
+                             std::to_string(m->roles.size()) +
+                             " operands, got " + std::to_string(ops.size()));
+
+    switch (m->form) {
+      case Form::Plain:
+      case Form::Jalr:
+        fillOperands(p, roles, ops);
         emit(p);
-    }
-    else if (mnem == "lb") mem(Opcode::LB, false, false);
-    else if (mnem == "lbu") mem(Opcode::LBU, false, false);
-    else if (mnem == "lh") mem(Opcode::LH, false, false);
-    else if (mnem == "lhu") mem(Opcode::LHU, false, false);
-    else if (mnem == "lw") mem(Opcode::LW, false, false);
-    else if (mnem == "ldc1" || mnem == "l.d") mem(Opcode::LDC1, false, true);
-    else if (mnem == "sb") mem(Opcode::SB, true, false);
-    else if (mnem == "sh") mem(Opcode::SH, true, false);
-    else if (mnem == "sw") mem(Opcode::SW, true, false);
-    else if (mnem == "sdc1" || mnem == "s.d") mem(Opcode::SDC1, true, true);
-    else if (mnem == "beq") br2(Opcode::BEQ);
-    else if (mnem == "bne") br2(Opcode::BNE);
-    else if (mnem == "blez") br1(Opcode::BLEZ);
-    else if (mnem == "bgtz") br1(Opcode::BGTZ);
-    else if (mnem == "bltz") br1(Opcode::BLTZ);
-    else if (mnem == "bgez") br1(Opcode::BGEZ);
-    else if (mnem == "bc1t") brf(Opcode::BC1T);
-    else if (mnem == "bc1f") brf(Opcode::BC1F);
-    else if (mnem == "j") {
-        need(1);
-        ProtoInst p;
-        p.op = Opcode::J;
-        p.imm = parseImm(ops[0], lineNo);
+        break;
+      case Form::Subi:
+        fillOperands(p, roles, ops);
+        if (p.imm.kind != ImmSpec::Literal)
+            asmError(lineNo, "subi needs a literal");
+        // Wraps like the two's-complement machine for INT64_MIN.
+        p.imm.value = static_cast<std::int64_t>(
+            0 - static_cast<std::uint64_t>(p.imm.value));
         emit(p);
-    }
-    else if (mnem == "jal") {
-        need(1);
-        ProtoInst p;
-        p.op = Opcode::JAL;
-        p.imm = parseImm(ops[0], lineNo);
-        emit(p);
-    }
-    else if (mnem == "jr") {
-        need(1);
-        ProtoInst p;
-        p.op = Opcode::JR;
-        p.rs = static_cast<std::uint8_t>(intReg(ops[0]));
-        emit(p);
-    }
-    else if (mnem == "jalr") {
-        ProtoInst p;
-        p.op = Opcode::JALR;
-        if (ops.size() == 1) {
-            p.rd = reg::ra;
-            p.rs = static_cast<std::uint8_t>(intReg(ops[0]));
-        } else {
-            need(2);
-            p.rd = static_cast<std::uint8_t>(intReg(ops[0]));
-            p.rs = static_cast<std::uint8_t>(intReg(ops[1]));
-        }
-        emit(p);
-    }
-    else if (mnem == "add.d") f3(Opcode::ADD_D);
-    else if (mnem == "sub.d") f3(Opcode::SUB_D);
-    else if (mnem == "mul.d") f3(Opcode::MUL_D);
-    else if (mnem == "div.d") f3(Opcode::DIV_D);
-    else if (mnem == "neg.d") f2(Opcode::NEG_D);
-    else if (mnem == "abs.d") f2(Opcode::ABS_D);
-    else if (mnem == "mov.d") f2(Opcode::MOV_D);
-    else if (mnem == "cvt.d.w") {
-        need(2);
-        ProtoInst p;
-        p.op = Opcode::CVT_D_W;
-        p.rd = static_cast<std::uint8_t>(fpReg(ops[0]));
-        p.rs = static_cast<std::uint8_t>(intReg(ops[1]));
-        emit(p);
-    }
-    else if (mnem == "cvt.w.d") {
-        need(2);
-        ProtoInst p;
-        p.op = Opcode::CVT_W_D;
-        p.rd = static_cast<std::uint8_t>(intReg(ops[0]));
-        p.rs = static_cast<std::uint8_t>(fpReg(ops[1]));
-        emit(p);
-    }
-    else if (mnem == "c.eq.d") fcmp(Opcode::C_EQ_D);
-    else if (mnem == "c.lt.d") fcmp(Opcode::C_LT_D);
-    else if (mnem == "c.le.d") fcmp(Opcode::C_LE_D);
-    else if (mnem == "nop") {
-        need(0);
-        emit(ProtoInst{});
-    }
-    else if (mnem == "halt") {
-        need(0);
-        ProtoInst p;
-        p.op = Opcode::HALT;
-        emit(p);
-    }
-    // ---- pseudo-instructions ----
-    else if (mnem == "li") {
-        need(2);
-        int rd = intReg(ops[0]);
+        break;
+      case Form::Li: {
+        const auto rd = static_cast<std::uint8_t>(intReg(ops[0]));
         if (!isIntLiteral(ops[1]))
             asmError(lineNo, "li needs a literal (use la for symbols)");
-        std::int64_t v = parseIntLiteral(ops[1], lineNo);
+        const std::int64_t v = parseIntLiteral(ops[1], lineNo);
         if (v >= -32768 && v <= 32767) {
-            ProtoInst p;
-            p.op = Opcode::ADDI;
-            p.rd = static_cast<std::uint8_t>(rd);
-            p.rs = reg::zero;
-            p.imm = {ImmSpec::Literal, v, {}};
-            emit(p);
+            emit({Opcode::ADDI, rd, reg::zero, 0, {ImmSpec::Literal, v, {}}});
         } else {
-            ProtoInst hi;
-            hi.op = Opcode::LUI;
-            hi.rd = static_cast<std::uint8_t>(rd);
-            hi.imm = {ImmSpec::Literal, (v >> 16) & 0xFFFF, {}};
-            emit(hi);
-            if ((v & 0xFFFF) != 0) {
-                ProtoInst lo;
-                lo.op = Opcode::ORI;
-                lo.rd = static_cast<std::uint8_t>(rd);
-                lo.rs = static_cast<std::uint8_t>(rd);
-                lo.imm = {ImmSpec::Literal, v & 0xFFFF, {}};
-                emit(lo);
-            }
+            emit({Opcode::LUI, rd, 0, 0,
+                  {ImmSpec::Literal, (v >> 16) & 0xFFFF, {}}});
+            if ((v & 0xFFFF) != 0)
+                emit({Opcode::ORI, rd, rd, 0,
+                      {ImmSpec::Literal, v & 0xFFFF, {}}});
         }
-    }
-    else if (mnem == "la") {
-        need(2);
-        int rd = intReg(ops[0]);
+        break;
+      }
+      case Form::La: {
+        const auto rd = static_cast<std::uint8_t>(intReg(ops[0]));
         ImmSpec s = parseImm(ops[1], lineNo);
         if (s.kind != ImmSpec::Symbol)
             asmError(lineNo, "la needs a symbol operand");
-        ProtoInst hi;
-        hi.op = Opcode::LUI;
-        hi.rd = static_cast<std::uint8_t>(rd);
-        hi.imm = s;
-        hi.imm.kind = ImmSpec::SymbolHi;
-        emit(hi);
-        ProtoInst lo;
-        lo.op = Opcode::ORI;
-        lo.rd = static_cast<std::uint8_t>(rd);
-        lo.rs = static_cast<std::uint8_t>(rd);
-        lo.imm = s;
-        lo.imm.kind = ImmSpec::SymbolLo;
-        emit(lo);
-    }
-    else if (mnem == "move") {
-        need(2);
-        ProtoInst p;
-        p.op = Opcode::OR;
-        p.rd = static_cast<std::uint8_t>(intReg(ops[0]));
-        p.rs = static_cast<std::uint8_t>(intReg(ops[1]));
+        s.kind = ImmSpec::SymbolHi;
+        emit({Opcode::LUI, rd, 0, 0, s});
+        s.kind = ImmSpec::SymbolLo;
+        emit({Opcode::ORI, rd, rd, 0, s});
+        break;
+      }
+      case Form::CmpBranch:
+      case Form::CmpBranchSwapped: {
+        const bool swap = m->form == Form::CmpBranchSwapped;
+        ProtoInst cmp;
+        cmp.op = Opcode::SLT;
+        cmp.rd = reg::at;
+        cmp.rs = static_cast<std::uint8_t>(intReg(ops[swap ? 1 : 0]));
+        cmp.rt = static_cast<std::uint8_t>(intReg(ops[swap ? 0 : 1]));
+        emit(cmp);
+        p.rs = reg::at;
         p.rt = reg::zero;
-        emit(p);
-    }
-    else if (mnem == "b") {
-        need(1);
-        ProtoInst p;
-        p.op = Opcode::BEQ;
-        p.rs = reg::zero;
-        p.rt = reg::zero;
-        p.imm = parseImm(ops[0], lineNo);
-        emit(p);
-    }
-    else if (mnem == "blt") cmpBranch(false, Opcode::BNE);
-    else if (mnem == "bge") cmpBranch(false, Opcode::BEQ);
-    else if (mnem == "bgt") cmpBranch(true, Opcode::BNE);
-    else if (mnem == "ble") cmpBranch(true, Opcode::BEQ);
-    else if (mnem == "subi") {
-        need(3);
-        ProtoInst p;
-        p.op = Opcode::ADDI;
-        p.rd = static_cast<std::uint8_t>(intReg(ops[0]));
-        p.rs = static_cast<std::uint8_t>(intReg(ops[1]));
         p.imm = parseImm(ops[2], lineNo);
-        if (p.imm.kind != ImmSpec::Literal)
-            asmError(lineNo, "subi needs a literal");
-        p.imm.value = -p.imm.value;
         emit(p);
-    }
-    else if (mnem == "neg") {
-        need(2);
-        ProtoInst p;
-        p.op = Opcode::SUB;
-        p.rd = static_cast<std::uint8_t>(intReg(ops[0]));
-        p.rs = reg::zero;
-        p.rt = static_cast<std::uint8_t>(intReg(ops[1]));
-        emit(p);
-    }
-    else if (mnem == "not") {
-        need(2);
-        ProtoInst p;
-        p.op = Opcode::NOR;
-        p.rd = static_cast<std::uint8_t>(intReg(ops[0]));
-        p.rs = static_cast<std::uint8_t>(intReg(ops[1]));
-        p.rt = reg::zero;
-        emit(p);
-    }
-    else {
-        asmError(lineNo, "unknown mnemonic '" + mnem + "'");
+        break;
+      }
     }
 }
 
 void
-Assembler::processLine(std::string line)
+Assembler::processLine(string_view line)
 {
     // Strip comments.
-    for (char c : {'#', ';'}) {
-        auto pos = line.find(c);
-        if (pos != std::string::npos)
-            line = line.substr(0, pos);
-    }
-    // Leading label(s).
-    for (;;) {
-        std::size_t i = 0;
-        while (i < line.size() &&
-               std::isspace(static_cast<unsigned char>(line[i])))
-            ++i;
-        std::size_t j = i;
-        while (j < line.size() &&
-               (std::isalnum(static_cast<unsigned char>(line[j])) ||
-                line[j] == '_' || line[j] == '.'))
-            ++j;
-        if (j > i && j < line.size() && line[j] == ':' && line[i] != '.') {
-            std::string label = line.substr(i, j - i);
-            if (prog.symbols.count(label))
-                asmError(lineNo, "duplicate label '" + label + "'");
-            Addr addr = inText
-                ? curTextAddr()
-                : prog.dataBase + static_cast<Addr>(prog.data.size());
-            prog.symbols[label] = addr;
-            line = line.substr(j + 1);
-        } else {
+    for (std::size_t i = 0; i < line.size(); ++i)
+        if (line[i] == '#' || line[i] == ';') {
+            line = line.substr(0, i);
             break;
         }
+    // Leading label(s).
+    for (;;) {
+        line = skipSpace(line);
+        std::size_t j = 0;
+        while (j < line.size() && isLabelChar(line[j]))
+            ++j;
+        if (j == 0 || j == line.size() || line[j] != ':' || line[0] == '.')
+            break;
+        const string_view label = line.substr(0, j);
+        const Addr addr = inText
+            ? curTextAddr()
+            : prog.dataBase + static_cast<Addr>(prog.data.size());
+        if (!prog.symbols.try_emplace(std::string(label), addr).second)
+            asmError(lineNo, "duplicate label " + quoted(label));
+        line.remove_prefix(j + 1);
     }
-    // Statement.
-    std::istringstream ss(line);
-    std::string head;
-    if (!(ss >> head))
+    // Statement: a head token, then its operands.
+    std::size_t h = 0;
+    while (h < line.size() && !isSpace(line[h]))
+        ++h;
+    if (h == 0)
         return;
-    std::string rest;
-    std::getline(ss, rest);
+    const string_view head = line.substr(0, h);
+    const string_view rest = line.substr(h);
     if (head[0] == '.') {
         directive(head, rest);
     } else {
         if (!inText)
             asmError(lineNo, "instruction in .data segment");
-        instruction(head, splitOperands(rest));
+        instruction(head, Operands(rest));
     }
 }
 
 void
 Assembler::resolve()
 {
-    auto symAddr = [&](const std::string &name, int line) -> Addr {
-        auto it = prog.symbols.find(name);
+    auto symAddr = [&](string_view name, int line) -> Addr {
+        auto it = prog.symbols.find(std::string(name));
         if (it == prog.symbols.end())
-            asmError(line, "undefined symbol '" + name + "'");
+            asmError(line, "undefined symbol " + quoted(name));
         return it->second;
     };
 
@@ -834,13 +779,14 @@ Assembler::resolve()
 }
 
 Program
-Assembler::run(const std::string &source)
+Assembler::run(string_view source)
 {
-    std::istringstream in(source);
-    std::string line;
-    while (std::getline(in, line)) {
+    while (!source.empty()) {
+        const std::size_t nl = source.find('\n');
         ++lineNo;
-        processLine(line);
+        processLine(source.substr(0, nl));
+        source.remove_prefix(nl == string_view::npos ? source.size()
+                                                     : nl + 1);
     }
     if (protos.empty())
         fatal("assembler: empty program");

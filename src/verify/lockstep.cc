@@ -1,5 +1,6 @@
 #include "verify/lockstep.hh"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -104,10 +105,16 @@ recordsMatch(const StepRecord &a, const StepRecord &b)
     return mmioLoad || a.value == b.value;
 }
 
-/** One machine plus its recorder and private event tracer. */
+/**
+ * One machine plus its recorder and private event tracer. The tracer
+ * only feeds the report's trace tail, so its ring holds just that many
+ * events.
+ */
 struct Side
 {
-    Side(const Program &prog, const char *label) : name(label)
+    Side(const Program &prog, const char *label, int traceTail)
+        : name(label),
+          tracer(static_cast<std::size_t>(std::max(traceTail, 0)))
     {
         mem.loadProgram(prog);
     }
@@ -154,7 +161,7 @@ struct Side
     MemController memctrl;
     std::unique_ptr<Cpu> cpu;
     Recorder rec;
-    Tracer tracer{1 << 12};
+    Tracer tracer;
     std::deque<StepRecord> history;
     std::uint64_t consumed = 0;
     bool halted = false;
@@ -211,10 +218,8 @@ appendTraceTail(std::string &out, const Side &s, int tail)
 {
     appendf(out, "%s trace tail:\n", s.name);
     const std::size_t n = s.tracer.size();
-    const std::size_t from =
-        n > static_cast<std::size_t>(tail) ? n - static_cast<std::size_t>(tail)
-                                           : 0;
-    for (std::size_t i = from; i < n; ++i) {
+    const std::size_t keep = static_cast<std::size_t>(std::max(tail, 0));
+    for (std::size_t i = n > keep ? n - keep : 0; i < n; ++i) {
         const TraceEvent &e = s.tracer.at(i);
         const EventKindInfo &info = eventKindInfo(e.kind);
         appendf(out, "  [%10" PRIu64 "] %s.%s a=0x%" PRIX64 " b=%" PRIu64
@@ -312,9 +317,9 @@ runLockstep(const Program &prog, const LockstepOptions &opts)
 {
     LockstepResult res;
 
-    Side ref(prog, "reference(simple)");
+    Side ref(prog, "reference(simple)", opts.traceTail);
     ref.makeCpu<SimpleCpu>(prog, opts.refBlockCache);
-    Side cand(prog, "candidate(complex)");
+    Side cand(prog, "candidate(complex)", opts.traceTail);
     cand.makeCpu<OooCpu>(prog, opts.candBlockCache);
     if (opts.prepareComplex)
         opts.prepareComplex(static_cast<OooCpu &>(*cand.cpu));

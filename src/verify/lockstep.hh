@@ -45,7 +45,10 @@ struct LockstepOptions
     std::uint64_t maxInstructions = 2'000'000;
     /** Records shown around the first mismatch. */
     int reportWindow = 6;
-    /** Trace events shown per rig in the report. */
+    /**
+     * Trace events shown per rig in the report (none if <= 0). Each
+     * rig's trace ring holds only this many events.
+     */
     int traceTail = 12;
     /** Skip the final page-by-page memory diff (for speed). */
     bool compareMemory = true;

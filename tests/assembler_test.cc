@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "isa/assembler.hh"
 #include "isa/encoding.hh"
 #include "sim/logging.hh"
@@ -244,6 +246,75 @@ TEST(AssemblerErrors, EmptyProgram)
 TEST(AssemblerErrors, InstructionInData)
 {
     EXPECT_THROW(assemble(".data\n add r1, r2, r3\n"), FatalError);
+}
+
+/** @return the FatalError text assembling @p source raises ("" if none). */
+std::string
+errorOf(const std::string &source)
+{
+    try {
+        assemble(source);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(AssemblerErrors, OutOfRangeRegisterIndex)
+{
+    EXPECT_EQ(errorOf("nop\nadd r1, r2, r99999999999\nhalt"),
+              "assembler: line 2: expected integer register, got "
+              "'r99999999999'");
+    EXPECT_EQ(errorOf("add.d f1, f2, f4294967298\nhalt"),
+              "assembler: line 1: expected FP register, got 'f4294967298'");
+}
+
+TEST(AssemblerErrors, SpaceSizeOutOfRange)
+{
+    EXPECT_EQ(errorOf("halt\n.data\nx: .space -1"),
+              "assembler: line 3: .space size out of range");
+    // Beyond the 32-bit address space above the data base.
+    EXPECT_EQ(errorOf("halt\n.data\n.space 0x100000000"),
+              "assembler: line 3: .space size out of range");
+}
+
+TEST(AssemblerErrors, LiteralsMustParseWhole)
+{
+    // A literal must parse whole: "09" is not octal, not 0.
+    EXPECT_EQ(errorOf("li r1, 09\nhalt"),
+              "assembler: line 1: bad integer literal '09'");
+    EXPECT_EQ(errorOf("halt\n.data\n.word 1, 018"),
+              "assembler: line 3: bad integer literal '018'");
+    EXPECT_EQ(errorOf("j L+0x1G\nL: halt"),
+              "assembler: line 1: bad integer literal '0x1G'");
+    // Octal, hex and signed forms that parse whole keep their values.
+    Program p = assemble("li r1, 010\nli r2, 0x10\nli r3, -010\n"
+                         "li r4, 0\nli r5, -0x8000\nhalt");
+    EXPECT_EQ(p.text[0].imm, 8);
+    EXPECT_EQ(p.text[1].imm, 16);
+    EXPECT_EQ(p.text[2].imm, -8);
+    EXPECT_EQ(p.text[3].imm, 0);
+    EXPECT_EQ(p.text[4].imm, -0x8000);
+}
+
+TEST(AssemblerErrors, LoopBoundAtLeastOne)
+{
+    EXPECT_EQ(errorOf("L: nop\n.loopbound -3\nbne r1, r0, L\nhalt"),
+              "assembler: line 2: .loopbound must be at least 1");
+    EXPECT_EQ(errorOf(".loopbound 0\nhalt"),
+              "assembler: line 1: .loopbound must be at least 1");
+    Program p = assemble("L: nop\n.loopbound 1\nbne r1, r0, L\nhalt");
+    EXPECT_EQ(p.loopBounds.at(defaultTextBase + 4), 1u);
+}
+
+TEST(AssemblerErrors, AlignExponentBounded)
+{
+    for (const char *n : {"-1", "17", "40", "64"})
+        EXPECT_EQ(errorOf(std::string("halt\n.align ") + n),
+                  "assembler: line 2: .align exponent out of range (0..16)")
+            << ".align " << n;
+    Program p = assemble("halt\n.data\n.byte 1\n.align 16\nx: .byte 2");
+    EXPECT_EQ(p.symbol("x"), defaultDataBase + 0x10000);
 }
 
 } // anonymous namespace

@@ -158,6 +158,13 @@ struct ShapeBand
     double speedupLo;                   // simple / complex
 };
 
+// Print the name, not gtest's byte dump (which holds the name pointer's
+// load address) as the listed test name.
+void PrintTo(const ShapeBand &band, std::ostream *os)
+{
+    *os << band.name;
+}
+
 class ShapeRegression : public ::testing::TestWithParam<ShapeBand>
 {
 };

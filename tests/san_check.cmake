@@ -1,8 +1,9 @@
 # Sanitizer tier (`ctest -C san -L san` from a configured build tree):
 # configures the repository's "debug" preset (-O0 -g, ASan + UBSan),
-# builds it, and runs the differential fuzzing suite plus the
-# end-to-end trace pipeline under the sanitizers. Any sanitizer report
-# aborts the inner ctest and fails this test.
+# builds it, and runs the differential fuzzing suite, the end-to-end
+# trace pipeline and the assembler suites (its hand-written lexer and
+# literal parser) under the sanitizers. Any sanitizer report aborts the
+# inner ctest and fails this test.
 #
 # Expects -DSOURCE_DIR=... (the repository root).
 
@@ -39,7 +40,9 @@ execute_process(
             # cross-check of the event-driven OooCpu vs its frozen
             # per-cycle reference; "bench_gate" stays out (wall-clock
             # thresholds are meaningless on a sanitized build).
-            -R "Differential|differential|Lockstep|Progen|Oracle|Corpus|Scheduler|trace_schema|prof_suite|Prof\\.|inject_suite|Inject\\.|chip_suite|Chip\\."
+            # "Assembler" also matches AssemblerErrors, AssemblerPin,
+            # AssemblerDirectives and Disassembler.
+            -R "Differential|differential|Lockstep|Progen|Oracle|Corpus|Scheduler|trace_schema|prof_suite|Prof\\.|inject_suite|Inject\\.|chip_suite|Chip\\.|Assembler"
             --output-on-failure
     WORKING_DIRECTORY "${build_dir}"
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)

@@ -170,6 +170,85 @@ TEST(Lockstep, InjectedCandidateBugIsCaughtWithinThousandPrograms)
     EXPECT_TRUE(runLockstep(minimized).equivalent);
 }
 
+/**
+ * The full divergence report for the first program the injected
+ * load-ext bug is caught on (the flow above, default options). The
+ * report shows only the last traceTail events of each rig's trace
+ * ring, so the ring's capacity must not change a byte of it.
+ */
+constexpr const char *kInjectedLoadExtReport = R"(lockstep divergence: architectural streams differ
+  first differing instruction: #94
+reference(simple) stream (program order):
+  #88       0x00400160  ldc1 f3, 16(r26)             f3 <- 0xACC2AAA409CBC019
+  #89       0x00400164  xor r24, r24, r3             -> 0x788E928C
+  #90       0x00400168  sllv r2, r3, r4              -> 0xD7578930
+  #91       0x0040016C  mul r5, r10, r9              -> 0x3751F578
+  #92       0x00400170  lh r5, 164(r26)              -> 0xFFFFFEB8
+  #93       0x00400174  xor r24, r24, r15            -> 0x788E8B65
+  #94       0x00400178  sub r12, r5, r10             -> 0xF0408EF0
+  #95       0x0040017C  lbu r4, 171(r26)             -> 0x000000AF
+  #96       0x00400180  xor r24, r24, r2             -> 0xAFD90255
+  #97       0x00400184  xor r24, r24, r3             -> 0x42AC7AC6
+  #98       0x00400188  xor r24, r24, r4             -> 0x42AC7A69
+  #99       0x0040018C  xor r24, r24, r5             -> 0xBD5384D1
+candidate(complex) stream (program order):
+  #88       0x00400160  ldc1 f3, 16(r26)             f3 <- 0xACC2AAA409CBC019
+  #89       0x00400164  xor r24, r24, r3             -> 0x788E928C
+  #90       0x00400168  sllv r2, r3, r4              -> 0xD7578930
+  #91       0x0040016C  mul r5, r10, r9              -> 0x3751F578
+  #92       0x00400170  lh r5, 164(r26)              -> 0xFFFFFEB8
+  #93       0x00400174  xor r24, r24, r15            -> 0x788E8B65
+  #94       0x00400178  sub r12, r5, r10             -> 0xF0418EF0
+  #95       0x0040017C  lbu r4, 171(r26)             -> 0x000000AF
+  #96       0x00400180  xor r24, r24, r2             -> 0xAFD90255
+  #97       0x00400184  xor r24, r24, r3             -> 0x42AC7AC6
+  #98       0x00400188  xor r24, r24, r4             -> 0x42AC7A69
+  #99       0x0040018C  xor r24, r24, r5             -> 0x42AC84D1
+candidate(complex) trace tail:
+  [       726] cpu.fetch a=0x400198 b=102 c=0
+  [       726] cpu.fetch a=0x40019C b=103 c=0
+  [       727] cpu.fetch a=0x4001A0 b=104 c=0
+  [       730] cpu.retire a=0x400180 b=96 c=0
+  [       731] cpu.retire a=0x400184 b=97 c=0
+  [       732] cpu.retire a=0x400188 b=98 c=0
+  [       733] cpu.retire a=0x40018C b=99 c=0
+  [       734] cpu.retire a=0x400190 b=100 c=0
+  [       735] cpu.retire a=0x400194 b=101 c=0
+  [       735] cpu.retire a=0x400198 b=102 c=0
+  [       736] cpu.retire a=0x40019C b=103 c=0
+  [       736] cpu.retire a=0x4001A0 b=104 c=0
+reference(simple) trace tail:
+  [      1314] cpu.retire a=0x400178 b=94 c=0
+  [      1315] cpu.retire a=0x40017C b=95 c=0
+  [      1416] mem.icache_miss a=0x400180 b=0 c=0
+  [      1416] cpu.retire a=0x400180 b=96 c=0
+  [      1417] cpu.retire a=0x400184 b=97 c=0
+  [      1418] cpu.retire a=0x400188 b=98 c=0
+  [      1419] cpu.retire a=0x40018C b=99 c=0
+  [      1420] cpu.retire a=0x400190 b=100 c=0
+  [      1421] cpu.retire a=0x400194 b=101 c=0
+  [      1422] cpu.retire a=0x400198 b=102 c=0
+  [      1424] cpu.retire a=0x40019C b=103 c=0
+  [      1425] cpu.retire a=0x4001A0 b=104 c=0
+)";
+
+TEST(Lockstep, InjectedDivergenceReportIsByteIdentical)
+{
+    GenParams gen;
+    gen.profile = GenProfile::Memory;
+    const LockstepOptions buggy = buggyOptions();
+    for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+        const LockstepResult r =
+            runLockstep(generate(seed, gen).program, buggy);
+        if (r.diverged) {
+            EXPECT_EQ(seed, 1u);
+            EXPECT_EQ(r.report, kInjectedLoadExtReport);
+            return;
+        }
+    }
+    FAIL() << "injected bug not caught in 1000 programs";
+}
+
 TEST(Oracle, TimingInvariantsHoldOnInstrumentedPrograms)
 {
     GenParams gen;

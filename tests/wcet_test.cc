@@ -169,6 +169,13 @@ struct WcetCase
     const char *source;
 };
 
+// gtest's default printer would dump the two pointers' bytes into the
+// test's listed name, which then changes with every load address.
+void PrintTo(const WcetCase &wc, std::ostream *os)
+{
+    *os << wc.name;
+}
+
 const WcetCase wcetCases[] = {
     {"straightline", R"(
         addi r4, r0, 1
