@@ -14,9 +14,8 @@ namespace chip
 ChipCore::ChipCore(Chip &chip, int id)
     : chip_(chip), id_(id), memctrl_(chip.cfg_.memctrl)
 {
-    if (chip.cfg_.attachBus && chip.cfg_.cores > 1)
-        memctrl_.attachBus(&chip.bus_, id);
     if (chip.cfg_.cores > 1) {
+        memctrl_.attachBus(&chip.bus_, id);
         // SPMD replica (see the file comment): every core of a
         // multi-core chip free-runs its own image of the program, so
         // concurrent core threads never touch shared functional state.

@@ -17,8 +17,8 @@
  * private-rig model the paired detector and the multi-task scheduler
  * use — and private images are what lets the cores execute on
  * concurrent host threads without the functional state racing. The
- * single-core chip keeps the chip-level MainMemory, bit-identical to
- * the historical rig.
+ * single-core chip keeps the chip-level MainMemory and no bus,
+ * bit-identical to a plain single-core rig.
  *
  * Cores are stepped deterministically: runAll() executes the cores in
  * fixed cycle windows with the interconnect in epoch-buffered mode, so
@@ -47,14 +47,11 @@ namespace chip
 /** Chip geometry; the bus/L2 knobs ride in ChipBusParams. */
 struct ChipConfig
 {
+    /** With cores > 1 every core's MemController attaches to the
+     *  shared bus; one core has nothing to contend with and keeps the
+     *  static memory penalty. */
     int cores = 1;
     ChipBusParams bus;
-    /**
-     * Attach per-core MemControllers to the shared bus. Off for a
-     * single core: a 1-core chip is the historical rig, bit-identical
-     * (the bus only ever sees contention with >= 2 requestors).
-     */
-    bool attachBus = true;
     MemCtrlParams memctrl;
 };
 
@@ -143,7 +140,7 @@ class Chip
      * merge per-core trace rings at every quantum barrier by
      * (cycle, core id): the result — stats, traces, RunAllResult — is
      * bit-identical for any VISA_THREADS setting. A single-core chip
-     * takes the historical serial path untouched. Only the cycles the
+     * just runs its one pipeline: no epochs, no rings. Only the cycles the
      * cores actually consume are charged against @p maxCycles (a
      * quantum in which every live core halts early charges the longest
      * actual run, not the whole window), and halted cores leave the

@@ -24,115 +24,77 @@ ChipInterconnect::ChipInterconnect(int cores, const ChipBusParams &params)
 }
 
 double
-ChipInterconnect::advanceClock(int core, Cycles now, MHz f)
-{
-    CoreClock &ck = clocks_[static_cast<std::size_t>(core)];
-    // Advance the core's shared-timeline position. Frequency changes
-    // between two misses attribute the whole gap to the frequency of
-    // the later call; the scheduler's per-dispatch syncCore() bounds
-    // the resulting drift to one quantum.
-    if (now > ck.lastCycle)
-        ck.ns += static_cast<double>(now - ck.lastCycle) * 1000.0 /
-                 static_cast<double>(f);
-    ck.lastCycle = now;
-    return ck.ns;
-}
-
-double
-ChipInterconnect::replay(double reqNs, Addr addr)
+ChipInterconnect::arbitrate(std::vector<double> &fills,
+                            std::vector<double> &bankFree, double reqNs,
+                            Addr addr, bool hit, bool count)
 {
     // Retire fills that completed before this request arrived.
-    auto drained = std::upper_bound(fills_.begin(), fills_.end(), reqNs);
-    fills_.erase(fills_.begin(), drained);
+    fills.erase(fills.begin(),
+                std::upper_bound(fills.begin(), fills.end(), reqNs));
 
     // Chip MSHR pool: a full pool blocks the request until the
     // earliest outstanding fill frees its entry.
     double startNs = reqNs;
-    while (static_cast<int>(fills_.size()) >= params_.mshrs) {
-        startNs = std::max(startNs, fills_.front());
-        fills_.erase(fills_.begin());
-        ++mshrStalls_;
+    while (static_cast<int>(fills.size()) >= params_.mshrs) {
+        startNs = std::max(startNs, fills.front());
+        fills.erase(fills.begin());
+        if (count)
+            ++mshrStalls_;
     }
-    mshrWaitNs_ += startNs - reqNs;
 
     // Bank arbitration: the block's bank serializes requests at
     // busOccupancyNs apiece.
     const Addr block = addr >> l2_.blockShift();
     const std::size_t bank =
         static_cast<std::size_t>(block % static_cast<Addr>(params_.banks));
-    const double grantNs = std::max(startNs, bankFreeNs_[bank]);
-    if (grantNs > startNs)
-        ++bankConflicts_;
-    bankWaitNs_ += grantNs - startNs;
-    bankFreeNs_[bank] = grantNs + params_.busOccupancyNs;
-
-    // Shared L2 lookup (tag-only, allocate on miss).
-    const bool hit = l2_.access(addr, false);
-    const double fillNs =
-        grantNs + (hit ? params_.l2HitNs : params_.memAccessNs);
-    fills_.insert(std::upper_bound(fills_.begin(), fills_.end(), fillNs),
-                  fillNs);
-
-    ++requests_;
-    if (hit)
-        ++l2Hits_;
-    return fillNs;
-}
-
-double
-ChipInterconnect::laneRoute(EpochLane &lane, double reqNs, Addr addr)
-{
-    // The same MSHR -> bank -> L2 pipeline as replay(), but against
-    // the lane's private snapshot-plus-own-traffic view, and counting
-    // nothing: the drain's replay is the single source of stats, so
-    // totals are independent of the epoch structure's thread layout.
-    auto drained =
-        std::upper_bound(lane.fills.begin(), lane.fills.end(), reqNs);
-    lane.fills.erase(lane.fills.begin(), drained);
-
-    double startNs = reqNs;
-    while (static_cast<int>(lane.fills.size()) >= params_.mshrs) {
-        startNs = std::max(startNs, lane.fills.front());
-        lane.fills.erase(lane.fills.begin());
+    const double grantNs = std::max(startNs, bankFree[bank]);
+    bankFree[bank] = grantNs + params_.busOccupancyNs;
+    if (count) {
+        mshrWaitNs_ += startNs - reqNs;
+        if (grantNs > startNs)
+            ++bankConflicts_;
+        bankWaitNs_ += grantNs - startNs;
     }
 
-    const Addr block = addr >> l2_.blockShift();
-    const std::size_t bank =
-        static_cast<std::size_t>(block % static_cast<Addr>(params_.banks));
-    const double grantNs = std::max(startNs, lane.bankFree[bank]);
-    lane.bankFree[bank] = grantNs + params_.busOccupancyNs;
-
-    // L2 view: the epoch-frozen tags (probe() is a read-only scan, so
-    // concurrent lanes share them safely) plus this core's own fills.
-    bool hit = l2_.probe(addr);
-    if (!hit)
-        hit = std::find(lane.filledBlocks.begin(),
-                        lane.filledBlocks.end(),
-                        block) != lane.filledBlocks.end();
-    if (!hit)
-        lane.filledBlocks.push_back(block);
     const double fillNs =
         grantNs + (hit ? params_.l2HitNs : params_.memAccessNs);
-    lane.fills.insert(std::upper_bound(lane.fills.begin(),
-                                       lane.fills.end(), fillNs),
-                      fillNs);
+    fills.insert(std::upper_bound(fills.begin(), fills.end(), fillNs),
+                 fillNs);
     return fillNs;
 }
 
 Cycles
 ChipInterconnect::route(int core, Cycles now, MHz f, Addr addr)
 {
-    const double reqNs = advanceClock(core, now, f);
+    if (!epochActive_)
+        fatal("ChipInterconnect: core %d routed a miss outside an epoch "
+              "(bracket the run with beginEpoch()/drainEpoch())",
+              core);
+    // Advance the core's shared-timeline position. Frequency changes
+    // between two misses attribute the whole gap to the frequency of
+    // the later call; the scheduler's per-slice syncCore() bounds the
+    // resulting drift to one quantum.
+    CoreClock &ck = clocks_[static_cast<std::size_t>(core)];
+    if (now > ck.lastCycle)
+        ck.ns += static_cast<double>(now - ck.lastCycle) * 1000.0 /
+                 static_cast<double>(f);
+    ck.lastCycle = now;
+    const double reqNs = ck.ns;
 
-    double fillNs;
-    if (epochActive_) {
-        EpochLane &lane = lanes_[static_cast<std::size_t>(core)];
-        lane.reqNs.push_back(reqNs);
-        lane.addrs.push_back(addr);
-        fillNs = laneRoute(lane, reqNs, addr);
-    } else {
-        fillNs = replay(reqNs, addr);
-    }
+    EpochLane &lane = lanes_[static_cast<std::size_t>(core)];
+    lane.reqNs.push_back(reqNs);
+    lane.addrs.push_back(addr);
+    // L2 view: the epoch-frozen tags (probe() is a read-only scan, so
+    // concurrent lanes share them safely) plus this core's own fills.
+    const Addr block = addr >> l2_.blockShift();
+    const bool hit = l2_.probe(addr) ||
+                     std::find(lane.filledBlocks.begin(),
+                               lane.filledBlocks.end(),
+                               block) != lane.filledBlocks.end();
+    if (!hit)
+        lane.filledBlocks.push_back(block);
+    const double fillNs = arbitrate(lane.fills, lane.bankFree, reqNs,
+                                    addr, hit, false);
 
     // Back to the core's cycle domain: the fill lands ceil(delay * f)
     // core cycles after issue (at least the L2 hit time, so a routed
@@ -158,9 +120,6 @@ ChipInterconnect::beginEpoch()
         fatal("ChipInterconnect: beginEpoch() inside an open epoch");
     epochActive_ = true;
     for (EpochLane &lane : lanes_) {
-        lane.reqNs.clear();
-        lane.addrs.clear();
-        lane.filledBlocks.clear();
         lane.fills = fills_;
         lane.bankFree = bankFreeNs_;
     }
@@ -192,42 +151,20 @@ ChipInterconnect::drainEpoch()
         }
         if (pick < 0)
             break;
-        EpochLane &lane = lanes_[static_cast<std::size_t>(pick)];
-        replay(pickNs, lane.addrs[idx[static_cast<std::size_t>(pick)]]);
-        ++idx[static_cast<std::size_t>(pick)];
+        const std::size_t c = static_cast<std::size_t>(pick);
+        const Addr addr = lanes_[c].addrs[idx[c]++];
+        // The authoritative L2: tag-only, allocate on miss.
+        const bool hit = l2_.access(addr, false);
+        ++requests_;
+        if (hit)
+            ++l2Hits_;
+        arbitrate(fills_, bankFreeNs_, pickNs, addr, hit, true);
     }
     for (EpochLane &lane : lanes_) {
         lane.reqNs.clear();
         lane.addrs.clear();
         lane.filledBlocks.clear();
-        lane.fills.clear();
-        lane.bankFree.clear();
     }
-}
-
-void
-ChipInterconnect::reset()
-{
-    for (CoreClock &ck : clocks_)
-        ck = CoreClock{};
-    std::fill(bankFreeNs_.begin(), bankFreeNs_.end(), 0.0);
-    fills_.clear();
-    for (EpochLane &lane : lanes_) {
-        lane.reqNs.clear();
-        lane.addrs.clear();
-        lane.filledBlocks.clear();
-        lane.fills.clear();
-        lane.bankFree.clear();
-    }
-    epochActive_ = false;
-    l2_.flush();
-    l2_.resetStats();
-    requests_ = 0;
-    l2Hits_ = 0;
-    bankConflicts_ = 0;
-    mshrStalls_ = 0;
-    bankWaitNs_ = 0.0;
-    mshrWaitNs_ = 0.0;
 }
 
 } // namespace chip

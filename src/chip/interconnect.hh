@@ -12,33 +12,31 @@
  * complex pipeline only, where the paper already gave up on bounds.
  *
  * Time base: each attached core advances its own (cycle, ns) clock on
- * every routed miss using the frequency of that call; the multi-core
- * scheduler re-anchors the per-core clocks to the shared wall at every
- * dispatch boundary (syncCore), which bounds cross-domain drift to one
- * scheduling quantum. All contention state (bank free times, fill
- * completion times) lives in nanoseconds, so cores at different DVS
- * operating points contend on one timeline.
+ * every routed miss using the frequency of that call; the scheduler
+ * re-anchors the per-core clocks to the shared wall at every slice
+ * (syncCore), which bounds cross-domain drift to one scheduling
+ * quantum. All contention state (bank free times, fill completion
+ * times) lives in nanoseconds, so cores at different DVS operating
+ * points contend on one timeline.
  *
- * Execution modes (PR 10):
- *
- *  - synchronous (the default): route() charges the request against
- *    the shared state immediately. Correct whenever one host thread
- *    drives all cores in timestamp order (the single-core rig, the
- *    serial G-EDF engine, unit tests).
- *
- *  - epoch-buffered (between beginEpoch() and drainEpoch()): each
- *    core's route() calls see a private lane — a snapshot of the
- *    shared bank/MSHR/L2 state frozen at the epoch boundary plus the
- *    core's own in-epoch requests — and buffer the request instead of
- *    touching shared state. drainEpoch() then replays every buffered
- *    request against the authoritative state in (request ns, core id)
- *    order. Because a core's observed latency is a pure function of
- *    the frozen snapshot and its own request stream, the lanes can be
- *    driven from concurrent host threads and the run is bit-identical
- *    no matter how many threads execute it; cross-core contention
- *    lands in the shared counters (and in later epochs' snapshots)
- *    with at most one epoch of lag — the same drift concession the
- *    per-dispatch clock anchoring already makes.
+ * Routing happens only inside an epoch (between beginEpoch() and
+ * drainEpoch()): each core's route() calls see a private lane — a
+ * snapshot of the shared bank/MSHR/L2 state frozen at the epoch
+ * boundary plus the core's own in-epoch requests — and buffer the
+ * request instead of touching shared state. drainEpoch() then replays
+ * every buffered request against the authoritative state in (request
+ * ns, core id) order. Because a core's observed latency is a pure
+ * function of the frozen snapshot and its own request stream, the lanes
+ * can be driven from concurrent host threads and the run is
+ * bit-identical no matter how many threads execute it; cross-core
+ * contention lands in the shared counters (and in later epochs'
+ * snapshots) with at most one epoch of lag — the same drift concession
+ * the per-slice clock anchoring already makes. A caller that runs one
+ * core at a time wraps each core's slice in its own epoch: the lane
+ * then holds everything earlier slices did, and the drain replays the
+ * slice in issue order (see DESIGN.md §13 for the one L2 case where a
+ * lane's answer can differ from routing each request immediately).
+ * route() outside an epoch is a FatalError.
  */
 
 #ifndef VISA_CHIP_INTERCONNECT_HH
@@ -75,9 +73,8 @@ struct ChipBusParams
 
 /**
  * The shared banked bus + L2 + MSHR pool. Deterministic: state is a
- * pure function of the route()/syncCore() call sequence (synchronous
- * mode) or of the per-core request streams and the epoch boundaries
- * (epoch mode) — thread interleaving is unobservable in either.
+ * pure function of the per-core request streams and the epoch
+ * boundaries — thread interleaving is unobservable.
  */
 class ChipInterconnect final : public ChipBusPort
 {
@@ -85,53 +82,40 @@ class ChipInterconnect final : public ChipBusPort
     explicit ChipInterconnect(int cores, const ChipBusParams &params = {});
 
     /**
-     * Route one complex-mode miss (ChipBusPort). Applies, in order:
-     * the chip MSHR pool (a full pool stalls the request until the
-     * earliest outstanding fill completes), bank arbitration (the
-     * block's bank must be free for busOccupancyNs), and the L2 lookup
-     * (hit: l2HitNs, miss: memAccessNs beyond the grant). Inside an
-     * epoch the same pipeline runs against the caller's private lane;
-     * only the per-core clock and lane are touched, so concurrent
-     * calls from different cores are race-free.
+     * Route one complex-mode miss (ChipBusPort) through the caller's
+     * private lane of the open epoch. Applies, in order: the chip MSHR
+     * pool (a full pool stalls the request until the earliest
+     * outstanding fill completes), bank arbitration (the block's bank
+     * must be free for busOccupancyNs), and the L2 lookup (hit:
+     * l2HitNs, miss: memAccessNs beyond the grant). Only the per-core
+     * clock and lane are touched, so concurrent calls from different
+     * cores are race-free. Fatal outside an epoch.
      */
     Cycles route(int core, Cycles now, MHz f, Addr addr) override;
 
     /**
      * Re-anchor @p core's clock: core-local cycle @p coreCycle is
      * declared to be at @p wallNs on the shared timeline. Called by
-     * the scheduler at every dispatch boundary (and whenever a task
-     * migrates onto @p core with its own cycle domain). Touches only
-     * @p core's slot — safe from that core's epoch thread.
+     * the scheduler at every slice (including whenever a task migrates
+     * onto @p core with its own cycle domain). Touches only @p core's
+     * slot — safe from that core's epoch thread.
      */
     void syncCore(int core, double wallNs, Cycles coreCycle);
 
     /**
-     * Enter epoch-buffered mode: freeze a per-core snapshot of the
-     * bank/MSHR state (the L2 is snapshot by leaving it untouched —
-     * lanes probe its tags read-only) and start buffering requests.
+     * Open an epoch: freeze a per-core snapshot of the bank/MSHR state
+     * (the L2 is snapshot by leaving it untouched — lanes probe its
+     * tags read-only) and start buffering requests.
      */
     void beginEpoch();
 
     /**
-     * Leave epoch mode: replay every buffered request against the
+     * Close the epoch: replay every buffered request against the
      * authoritative shared state in (request ns, core id) order,
      * counting all contention stats there. Must be called from one
      * thread after all cores' epoch work joined.
      */
     void drainEpoch();
-
-    /** True between beginEpoch() and drainEpoch(). */
-    bool epochActive() const { return epochActive_; }
-
-    /** Forget all contention and L2 state (between campaigns). */
-    void reset();
-
-    int cores() const { return static_cast<int>(clocks_.size()); }
-    const ChipBusParams &params() const { return params_; }
-    Cache &l2() { return l2_; }
-
-    /** The shared-timeline position of @p core, ns. */
-    double coreNs(int core) const { return clocks_[core].ns; }
 
     std::uint64_t requests() const { return requests_; }
     std::uint64_t l2Hits() const { return l2Hits_; }
@@ -169,16 +153,15 @@ class ChipInterconnect final : public ChipBusPort
     };
 
     /**
-     * The shared-state pipeline of one request (MSHR pool -> bank
-     * arbitration -> L2), mutating fills_/bankFreeNs_/l2_ and all
-     * counters. @return the fill completion time, ns.
+     * MSHR pool then bank arbitration of a request at @p reqNs for
+     * @p addr against @p fills / @p bankFree — the shared state or a
+     * lane's view of it — with the L2 lookup's outcome @p hit; adds
+     * the fill to @p fills. Counts contention only when @p count (the
+     * drain's replay owns the stats). @return the fill time, ns.
      */
-    double replay(double reqNs, Addr addr);
-    /** The same pipeline against @p lane's private view; counts
-     *  nothing (the drain's replay owns the stats). */
-    double laneRoute(EpochLane &lane, double reqNs, Addr addr);
-    /** Advance @p core's clock to @p now at @p f; @return its ns. */
-    double advanceClock(int core, Cycles now, MHz f);
+    double arbitrate(std::vector<double> &fills,
+                     std::vector<double> &bankFree, double reqNs,
+                     Addr addr, bool hit, bool count);
 
     ChipBusParams params_;
     Cache l2_;
@@ -187,7 +170,7 @@ class ChipInterconnect final : public ChipBusPort
     /** Outstanding fill completion times, ns, ascending. */
     std::vector<double> fills_;
     std::vector<EpochLane> lanes_;
-    bool epochActive_ = false;
+    bool epochActive_ = false;    ///< between beginEpoch/drainEpoch
 
     std::uint64_t requests_ = 0;
     std::uint64_t l2Hits_ = 0;

@@ -5,6 +5,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <limits>
+#include <numeric>
 
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
@@ -25,6 +26,8 @@ formatted(const char *fmt, ...)
     va_end(ap);
     return buf;
 }
+
+constexpr double never = std::numeric_limits<double>::infinity();
 
 } // anonymous namespace
 
@@ -52,11 +55,42 @@ struct MultiTaskScheduler::ManagedTask
     int jobPreemptions = 0;
     double jobBusy = 0.0;
     /** Wall time from which the current job may (re)start: its release,
-     *  or the preemption point it was last suspended at (multi-core
-     *  runs; a core must not run a job from its local future). */
+     *  or the preemption point it was last suspended at (a core must
+     *  not run a job from its local future). */
     double avail = 0.0;
+    int host = -1;    ///< core its context is live on (-1 = none)
 
     SchedTaskStats stats;
+};
+
+/**
+ * One core's engine state. Under the concurrent driver only the core's
+ * own arm writes it — and its tasks, its bus lane and its trace ring —
+ * so the cores of one epoch may run on concurrent worker threads.
+ */
+struct MultiTaskScheduler::CoreState
+{
+    int id = 0;
+    /** Tasks this core may run, ascending: its partition, or every
+     *  task under global placement. */
+    std::vector<int> tasks;
+    double w = 0.0;        ///< local wall clock
+    int onCore = -1;       ///< task dispatched here (-1 = idle)
+    int lastOn = -1;       ///< last task whose context is loaded
+    MHz freq = 0;          ///< this DVS domain's clock (0 = unset)
+    bool done = false;     ///< every job of its tasks completed
+    int dispatches = 0;
+    int contextSwitches = 0;
+    double busySeconds = 0.0;
+    double idleSeconds = 0.0;
+    /** Counter and job sinks: the schedule's own under the serial
+     *  driver (booked in slice order), this core's private shares
+     *  under the concurrent one (merged in core order at the end). */
+    ScheduleOutcome *out = nullptr;
+    std::vector<JobRecord> *jobs = nullptr;
+    ScheduleOutcome share;
+    std::vector<JobRecord> jobList;
+    Tracer *sink = nullptr;    ///< the caller's tracer, or this core's ring
 };
 
 MultiTaskScheduler::MultiTaskScheduler(SchedulerConfig cfg)
@@ -108,6 +142,14 @@ MultiTaskScheduler::nominalRelease(const ManagedTask &t) const
     return t.def.phaseSeconds + t.released * t.def.periodSeconds;
 }
 
+bool
+MultiTaskScheduler::pendingRelease(const ManagedTask &t) const
+{
+    // A task re-releases only after its previous job completed (jobs of
+    // one task do not overlap; an overrun shows up as a deadline miss).
+    return t.released < jobsPerTask_ && t.done == t.released && !t.ready;
+}
+
 double
 MultiTaskScheduler::interferenceFactor() const
 {
@@ -146,10 +188,6 @@ MultiTaskScheduler::partitionedAssignment() const
         if (i < static_cast<int>(cfg_.affinity.size()) &&
             cfg_.affinity[static_cast<std::size_t>(i)] >= 0) {
             core = cfg_.affinity[static_cast<std::size_t>(i)];
-            if (core >= m)
-                fatal("scheduler: task %d pinned to core %d of a "
-                      "%d-core chip",
-                      i, core, m);
         } else {
             // Worst-fit: the least-loaded core; strict < keeps the
             // lowest id on ties, so placement is deterministic.
@@ -172,7 +210,6 @@ MultiTaskScheduler::admissionError() const
         return "no tasks";
     if (cfg_.cores < 1)
         return "cores must be >= 1";
-    std::vector<PeriodicTask> set;
     for (const auto &tp : tasks_) {
         const SchedTaskDef &d = tp->def;
         const double budget = d.runtime.deadlineSeconds;
@@ -210,40 +247,22 @@ MultiTaskScheduler::admissionError() const
             return formatted("task '%s': budget %.3g ms is infeasible "
                              "even at the top operating point",
                              d.name.c_str(), budget * 1e3);
-        // Demand per job: the budget plus two context switches (in and
-        // out), costed at the slowest clock the governor could pick.
-        const double sw = 2.0 * switchSeconds(d.dvs->minFreq());
-        set.push_back({budget + sw, d.periodSeconds});
-    }
-    if (cfg_.cores == 1) {
-        // The configured margin inflates demand rather than deflating
-        // the bound, so the reported utilization stays recognizable.
-        for (PeriodicTask &pt : set)
-            pt.wcet /= (1.0 - cfg_.utilizationMargin);
-        if (cfg_.policy == SchedPolicy::Edf) {
-            if (!edfSchedulable(set))
-                return formatted("EDF: utilization %.3f of the inflated "
-                                 "set exceeds 1",
-                                 utilization(set));
-        } else {
-            if (!rmResponseTimeFeasible(set))
-                return formatted("RM: response-time analysis rejects "
-                                 "the inflated set (utilization %.3f)",
-                                 utilization(set));
-        }
-        return "";
     }
 
-    // Multi-core: compose the per-task single-core feasibility above
-    // with a placement-aware test over demands inflated by the
-    // cross-core shared-memory interference bound.
+    // Compose the per-task feasibility above with a placement-aware
+    // test over demands inflated by the cross-core shared-memory
+    // interference bound (exactly 1 on one core). Demand per job is the
+    // budget plus two context switches (in and out), costed at the
+    // slowest clock the governor could pick; the configured margin
+    // inflates demand rather than deflating the bound, so the reported
+    // utilization stays recognizable.
     const int m = cfg_.cores;
     for (std::size_t i = 0; i < cfg_.affinity.size(); ++i)
         if (cfg_.affinity[i] >= m)
             return formatted("affinity: task %d pinned to core %d of a "
                              "%d-core chip",
                              static_cast<int>(i), cfg_.affinity[i], m);
-    if (cfg_.placement == PlacementPolicy::Global) {
+    if (m > 1 && cfg_.placement == PlacementPolicy::Global) {
         if (cfg_.policy != SchedPolicy::Edf)
             return "global placement supports EDF only";
         double total = 0.0;
@@ -294,15 +313,267 @@ MultiTaskScheduler::admissionError() const
     return "";
 }
 
+ScheduleOutcome
+MultiTaskScheduler::run(int jobs_per_task)
+{
+    if (jobs_per_task <= 0)
+        fatal("scheduler: jobs_per_task must be positive");
+    const std::string err = admissionError();
+    if (!err.empty())
+        fatal("scheduler: task set rejected: %s", err.c_str());
+    const int m = cfg_.cores;
+    const bool partitioned =
+        cfg_.placement == PlacementPolicy::Partitioned;
+    jobsPerTask_ = jobs_per_task;
+    jobs_.clear();
+    outcome_ = ScheduleOutcome{};
+    if (m > 1) {
+        bus_ = std::make_unique<chip::ChipInterconnect>(m, cfg_.bus);
+        assignment_ = partitioned
+            ? partitionedAssignment()
+            : std::vector<int>(static_cast<std::size_t>(numTasks()), -1);
+    }
+
+    // Runaway guard: an admitted set completes well within one extra
+    // hyperperiod of the last release.
+    horizon_ = 1e-3;
+    for (const auto &t : tasks_)
+        horizon_ = std::max(horizon_,
+                            t->def.phaseSeconds +
+                                (jobs_per_task + 2) * t->def.periodSeconds);
+    horizon_ = 10.0 * horizon_ + 1.0;
+
+    const bool concurrent = m > 1 && partitioned;
+    cores_ = std::vector<CoreState>(static_cast<std::size_t>(m));
+    for (int id = 0; id < m; ++id) {
+        CoreState &c = cores_[static_cast<std::size_t>(id)];
+        c.id = id;
+        c.out = concurrent ? &c.share : &outcome_;
+        c.jobs = concurrent ? &c.jobList : &jobs_;
+        for (int i = 0; i < numTasks(); ++i) {
+            const int a = m > 1 ? assignment_[static_cast<std::size_t>(i)]
+                                : -1;
+            if (a < 0 || a == id)
+                c.tasks.push_back(i);
+        }
+    }
+    for (auto &t : tasks_) {
+        t->avail = 0.0;
+        t->host = -1;
+    }
+    if (concurrent)
+        runConcurrent();
+    else
+        runSerial();
+
+    for (const CoreState &c : cores_)
+        outcome_.wallSeconds = std::max(outcome_.wallSeconds, c.w);
+    // The rigs outlive this run; detach them from the bus (the bus
+    // itself stays alive for buildStats).
+    for (auto &t : tasks_)
+        t->memctrl.attachBus(nullptr);
+    return outcome_;
+}
+
+/**
+ * The serial driver (global placement, and every single-core run):
+ * every core keeps its own wall clock (they are independent clock
+ * domains), and the chip is stepped by always letting the lowest-id
+ * core with runnable work at the earliest local time run one slice.
+ * Releases are observed lazily against each core's own clock — a core
+ * never sees a job released, or a migrated job suspended, in its local
+ * future — which keeps the interleaving a pure function of the task set.
+ */
+void
+MultiTaskScheduler::runSerial()
+{
+    const int m = cfg_.cores;
+    Tracer *const tr = currentTracer();
+    for (CoreState &c : cores_)
+        c.sink = tr;
+    std::vector<int> order(static_cast<std::size_t>(m));
+    std::iota(order.begin(), order.end(), 0);
+    // Every core of this driver may run every task, so core 0's view
+    // of completion is the whole schedule's.
+    while (!finished(cores_[0])) {
+        // Visit cores in (local wall, id) order; the first one with a
+        // runnable job executes one slice.
+        std::sort(order.begin(), order.end(), [&](int a, int b) {
+            const double wa = cores_[static_cast<std::size_t>(a)].w;
+            const double wb = cores_[static_cast<std::size_t>(b)].w;
+            return wa < wb || (wa == wb && a < b);
+        });
+        CoreState *core = nullptr;
+        int next = -1;
+        for (int id : order) {
+            CoreState &c = cores_[static_cast<std::size_t>(id)];
+            releaseDue(c);
+            if ((next = pick(c)) >= 0) {
+                core = &c;
+                break;
+            }
+        }
+
+        if (!core) {
+            // Every core is idle at its local time: advance each to its
+            // next local event (a fresh release, or a suspended job
+            // becoming available to it).
+            bool advanced = false;
+            for (CoreState &c : cores_) {
+                const double before = c.w;
+                idleTo(c, never);
+                advanced = advanced || c.w > before;
+            }
+            if (!advanced)
+                fatal("scheduler: idle with no pending release");
+            continue;
+        }
+
+        // One bus epoch per slice (DESIGN.md §13): with one core
+        // running, its lane is the authoritative state plus its own
+        // requests, and the drain replays them in issue order.
+        if (bus_)
+            bus_->beginEpoch();
+        if (tr && m > 1)
+            tr->setCoreId(core->id);
+        step(*core, next, never);
+        if (bus_)
+            bus_->drainEpoch();
+    }
+    if (tr && m > 1)
+        tr->setCoreId(-1);
+}
+
+/**
+ * The concurrent driver (partitioned, m > 1): every core owns a
+ * disjoint partition, so the per-core schedules are independent except
+ * for shared-bus contention (resolved by epoch-buffered routing: within
+ * one epochSeconds quantum a core sees only the barrier-frozen bus plus
+ * its own traffic, and the barrier drain replays all requests in
+ * (ns, core id) order) and the output streams (per-core counter
+ * shares, job lists and trace rings, merged in deterministic order at
+ * the barriers / at the end). Every per-core quantity has exactly one
+ * writer, and nothing a core computes depends on how the host
+ * interleaved the cores, so the result is bit-identical for any
+ * VISA_THREADS setting, including 1.
+ */
+void
+MultiTaskScheduler::runConcurrent()
+{
+    const double epoch =
+        cfg_.epochSeconds > 0.0 ? cfg_.epochSeconds : 1e-3;
+    Tracer *const tr = currentTracer();
+    std::vector<Tracer> rings;
+    if (tr) {
+        rings.reserve(cores_.size());
+        for (CoreState &c : cores_) {
+            rings.emplace_back(tr->capacity());
+            rings.back().setKindMask(tr->kindMask());
+            rings.back().setCoreId(c.id);
+            c.sink = &rings.back();
+        }
+    }
+
+    for (double epochStart = 0.0;; epochStart += epoch) {
+        if (std::all_of(cores_.begin(), cores_.end(),
+                        [](const CoreState &c) { return c.done; }))
+            break;
+        if (epochStart > horizon_)
+            fatal("scheduler: epoch clock %.3g s exceeded the runaway "
+                  "horizon %.3g s",
+                  epochStart, horizon_);
+        const double epochEnd = epochStart + epoch;
+        bus_->beginEpoch();
+        parallelFor(cores_.size(), [&](std::size_t i) {
+            CoreState &c = cores_[i];
+            Tracer *const prev = c.sink ? installTracer(c.sink) : nullptr;
+            while (!(c.done = finished(c)) && c.w < epochEnd) {
+                releaseDue(c);
+                const int next = pick(c);
+                if (next >= 0) {
+                    step(c, next, epochEnd);
+                    continue;
+                }
+                const double tn = idleTo(c, epochEnd);
+                if (!std::isfinite(tn))
+                    fatal("scheduler: core %d idle with no pending "
+                          "release",
+                          c.id);
+                if (tn > epochEnd)
+                    break;    // nothing more until after the barrier
+            }
+            if (c.sink)
+                installTracer(prev);
+        });
+        bus_->drainEpoch();
+        if (tr)
+            Tracer::mergeInto(*tr, rings);
+    }
+
+    // Deterministic merges, all in core order: counters summed; the job
+    // lists (each ascending in completion) concatenated and stably
+    // sorted, i.e. merged by (completion, core).
+    for (const CoreState &c : cores_) {
+        outcome_.jobs += c.share.jobs;
+        outcome_.dispatches += c.share.dispatches;
+        outcome_.preemptions += c.share.preemptions;
+        outcome_.contextSwitches += c.share.contextSwitches;
+        outcome_.freqChanges += c.share.freqChanges;
+        outcome_.switchOverheadSeconds += c.share.switchOverheadSeconds;
+        outcome_.idleSeconds += c.share.idleSeconds;
+        outcome_.deadlineMisses += c.share.deadlineMisses;
+        outcome_.checkpointMisses += c.share.checkpointMisses;
+        jobs_.insert(jobs_.end(), c.jobList.begin(), c.jobList.end());
+    }
+    std::stable_sort(jobs_.begin(), jobs_.end(),
+                     [](const JobRecord &a, const JobRecord &b) {
+                         return a.completionSeconds < b.completionSeconds;
+                     });
+}
+
+bool
+MultiTaskScheduler::finished(const CoreState &c) const
+{
+    for (int i : c.tasks) {
+        const ManagedTask &t = *tasks_[static_cast<std::size_t>(i)];
+        if (t.released < jobsPerTask_ || t.done < t.released)
+            return false;
+    }
+    return true;
+}
+
+void
+MultiTaskScheduler::releaseDue(CoreState &c)
+{
+    for (int i : c.tasks) {
+        ManagedTask &t = *tasks_[static_cast<std::size_t>(i)];
+        if (!pendingRelease(t) || nominalRelease(t) > c.w + 1e-15)
+            continue;
+        t.releaseNominal = nominalRelease(t);
+        t.deadline = t.releaseNominal + t.def.periodSeconds;
+        t.ready = true;
+        t.avail = t.releaseNominal;
+        t.jobPreemptions = 0;
+        t.jobBusy = 0.0;
+        ++t.released;
+        emit(c, EventKind::SchedRelease, i,
+             static_cast<std::uint64_t>(t.released - 1), 0);
+    }
+}
+
 int
-MultiTaskScheduler::pickReady() const
+MultiTaskScheduler::pick(const CoreState &c) const
 {
     int best = -1;
     double best_key = 0.0;
-    for (int i = 0; i < numTasks(); ++i) {
-        const ManagedTask &t = *tasks_[i];
+    for (int i : c.tasks) {
+        const ManagedTask &t = *tasks_[static_cast<std::size_t>(i)];
         if (!t.ready)
             continue;
+        if (t.host != -1 && t.host != c.id)
+            continue;    // its context is live on another core
+        if (t.avail > c.w + 1e-15)
+            continue;    // released/suspended in c's future
         const double key = cfg_.policy == SchedPolicy::Edf
             ? t.deadline
             : t.def.periodSeconds;
@@ -316,968 +587,195 @@ MultiTaskScheduler::pickReady() const
     return best;
 }
 
-MHz
-MultiTaskScheduler::resolveFrequencyOn(int next, MHz &slot)
+double
+MultiTaskScheduler::idleTo(CoreState &c, double barrier)
 {
-    ManagedTask &t = *tasks_[next];
-    const MHz requested = t.rt->requestedFrequency();
-    MHz f = requested;
-    if (cfg_.governor == GovernorPolicy::MaxRequest) {
-        for (const auto &u : tasks_)
-            if (u->ready && u->rt->instanceActive())
-                f = std::max(f, u->rt->requestedFrequency());
+    double tn = never;
+    for (int i : c.tasks) {
+        const ManagedTask &t = *tasks_[static_cast<std::size_t>(i)];
+        if (pendingRelease(t))
+            tn = std::min(tn, nominalRelease(t));
+        else if (t.ready && t.host == -1)
+            tn = std::min(tn, t.avail);
     }
-    if (f != requested)
-        t.rt->overrideFrequency(f);
-    if (slot != 0 && f != slot)
-        ++outcome_.freqChanges;
-    slot = f;
-    return f;
+    const double target = std::min(tn, barrier);
+    if (std::isfinite(target) && target > c.w) {
+        c.idleSeconds += target - c.w;
+        c.out->idleSeconds += target - c.w;
+        c.w = target;
+    }
+    return tn;
 }
 
-ScheduleOutcome
-MultiTaskScheduler::run(int jobs_per_task)
+void
+MultiTaskScheduler::step(CoreState &c, int next, double barrier)
 {
-    if (jobs_per_task <= 0)
-        fatal("scheduler: jobs_per_task must be positive");
-    const std::string err = admissionError();
-    if (!err.empty())
-        fatal("scheduler: task set rejected: %s", err.c_str());
-    if (cfg_.cores > 1)
-        return cfg_.placement == PlacementPolicy::Partitioned
-            ? runPartitioned(jobs_per_task)
-            : runMulti(jobs_per_task);
-    // Stale multi-core state (a prior runMulti) must not leak into the
-    // single-core stats.
-    bus_.reset();
-    assignment_.clear();
-    coreStats_.clear();
-
-    jobs_.clear();
-    outcome_ = ScheduleOutcome{};
-    wall_ = 0.0;
-    onCore_ = -1;
-    lastOnCore_ = -1;
-    coreFreq_ = 0;
-
-    // Runaway guard: an admitted set completes well within one extra
-    // hyperperiod of the last release.
-    double horizon = 1e-3;
-    for (const auto &t : tasks_)
-        horizon = std::max(horizon,
-                           t->def.phaseSeconds +
-                               (jobs_per_task + 2) * t->def.periodSeconds);
-    horizon = 10.0 * horizon + 1.0;
-
-    Tracer *const tr = currentTracer();
-    // Scheduler events carry the wall clock (integer nanoseconds in
-    // the cycle field): per-task cycle domains are incomparable, and
-    // the runtimes bank their own offsets into the tracer.
-    const auto schedEvent = [&](EventKind k, int task, std::uint64_t b,
-                                std::uint64_t c) {
-        if (!tr)
-            return;
-        const Cycles off = tr->cycleOffset();
-        tr->setCycleOffset(0);
-        tr->record(k, static_cast<Cycles>(std::llround(wall_ * 1e9)),
-                   static_cast<std::uint64_t>(task), b, c, wall_);
-        tr->setCycleOffset(off);
-    };
-
-    for (;;) {
-        // 1. Release every job that is due. A task re-releases only
-        // after its previous job completed (jobs of one task do not
-        // overlap; an overrun shows up as a deadline miss instead).
-        bool all_done = true;
-        for (int i = 0; i < numTasks(); ++i) {
-            ManagedTask &t = *tasks_[i];
-            if (t.released < jobs_per_task || t.done < t.released)
-                all_done = false;
-            if (t.released < jobs_per_task && t.done == t.released &&
-                !t.ready && nominalRelease(t) <= wall_ + 1e-15) {
-                t.releaseNominal = nominalRelease(t);
-                t.deadline = t.releaseNominal + t.def.periodSeconds;
-                t.ready = true;
-                t.jobPreemptions = 0;
-                t.jobBusy = 0.0;
-                ++t.released;
-                schedEvent(EventKind::SchedRelease, i,
-                           static_cast<std::uint64_t>(t.released - 1), 0);
+    ManagedTask &t = *tasks_[static_cast<std::size_t>(next)];
+    if (c.onCore != next) {
+        if (c.onCore >= 0) {
+            // Retire the outgoing task's in-flight instructions; the
+            // cycles are its own execution time. A watchdog expiry
+            // surfacing here takes the recovery path before the task
+            // is suspended.
+            const int prev = c.onCore;
+            ManagedTask &out = *tasks_[static_cast<std::size_t>(prev)];
+            charge(c, prev, out.rt->preemptDrain());
+            ++out.jobPreemptions;
+            ++out.stats.preemptions;
+            ++c.out->preemptions;
+            // Suspended here: available to any core from this wall time
+            // on (its context ships with its private rig).
+            out.avail = c.w;
+            out.host = -1;
+            emit(c, EventKind::SchedPreempt, prev,
+                 static_cast<std::uint64_t>(out.released - 1),
+                 static_cast<std::uint64_t>(next));
+        }
+        if (!t.rt->instanceActive()) {
+            const int job = t.released - 1;
+            if (t.def.forceMissEvery > 0 &&
+                job % t.def.forceMissEvery == 0)
+                t.rt->forceNextMiss(t.def.forceMissIncrement);
+            t.rt->beginInstance(t.def.induceMissEvery > 0 && job > 0 &&
+                                job % t.def.induceMissEvery == 0);
+        }
+        // The governor resolves over this core's DVS domain: MaxRequest
+        // maximizes over the ready tasks the core may run.
+        const MHz requested = t.rt->requestedFrequency();
+        MHz f = requested;
+        if (cfg_.governor == GovernorPolicy::MaxRequest) {
+            for (int i : c.tasks) {
+                const ManagedTask &u = *tasks_[static_cast<std::size_t>(i)];
+                if (u.ready && u.rt->instanceActive())
+                    f = std::max(f, u.rt->requestedFrequency());
             }
         }
-        if (all_done)
-            break;
-
-        // 2. Pick the highest-priority ready job.
-        const int next = pickReady();
-        if (next < 0) {
-            double nr = std::numeric_limits<double>::infinity();
-            for (const auto &t : tasks_)
-                if (t->released < jobs_per_task &&
-                    t->done == t->released)
-                    nr = std::min(nr, nominalRelease(*t));
-            if (!std::isfinite(nr))
-                fatal("scheduler: idle with no pending release");
-            if (nr > wall_) {
-                outcome_.idleSeconds += nr - wall_;
-                wall_ = nr;
-            }
-            continue;
+        if (f != requested)
+            t.rt->overrideFrequency(f);
+        if (c.freq != 0 && f != c.freq)
+            ++c.out->freqChanges;
+        c.freq = f;
+        if (c.lastOn != next) {
+            // Context-switch cost: wall time only, charged to no task's
+            // CPU — it must not tick any watchdog.
+            const double sw = switchSeconds(f);
+            c.w += sw;
+            c.out->switchOverheadSeconds += sw;
+            ++c.out->contextSwitches;
+            ++c.contextSwitches;
         }
-        ManagedTask &t = *tasks_[next];
-
-        // 3. Dispatch (possibly preempting the running task).
-        if (onCore_ != next) {
-            if (onCore_ >= 0) {
-                ManagedTask &out = *tasks_[onCore_];
-                // Retire the outgoing task's in-flight instructions;
-                // the cycles are its own execution time. A watchdog
-                // expiry surfacing here takes the recovery path before
-                // the task is suspended.
-                const StepResult d = out.rt->preemptDrain();
-                wall_ += d.ranSeconds;
-                out.jobBusy += d.ranSeconds;
-                out.stats.busySeconds += d.ranSeconds;
-                if (d.recovered) {
-                    ++out.stats.checkpointMisses;
-                    ++outcome_.checkpointMisses;
-                    schedEvent(EventKind::SchedRecovery, onCore_,
-                               static_cast<std::uint64_t>(std::max(
-                                   0, out.rt->activeMissedSubtask())),
-                               0);
-                }
-                ++out.jobPreemptions;
-                ++out.stats.preemptions;
-                ++outcome_.preemptions;
-                schedEvent(EventKind::SchedPreempt, onCore_,
-                           static_cast<std::uint64_t>(out.released - 1),
-                           static_cast<std::uint64_t>(next));
-            }
-            if (!t.rt->instanceActive()) {
-                const int job = t.released - 1;
-                if (t.def.forceMissEvery > 0 &&
-                    job % t.def.forceMissEvery == 0)
-                    t.rt->forceNextMiss(t.def.forceMissIncrement);
-                const bool induce = t.def.induceMissEvery > 0 &&
-                                    job > 0 &&
-                                    job % t.def.induceMissEvery == 0;
-                t.rt->beginInstance(induce);
-            }
-            const MHz f = resolveFrequencyOn(next, coreFreq_);
-            if (lastOnCore_ != next) {
-                // Context-switch cost: wall time only, charged to no
-                // task's CPU — it must not tick any watchdog.
-                const double sw = switchSeconds(f);
-                wall_ += sw;
-                outcome_.switchOverheadSeconds += sw;
-                ++outcome_.contextSwitches;
-            }
-            onCore_ = next;
-            lastOnCore_ = next;
-            ++outcome_.dispatches;
-            schedEvent(EventKind::SchedDispatch, next,
-                       static_cast<std::uint64_t>(t.released - 1),
-                       static_cast<std::uint64_t>(f));
-        }
-
-        // 4. Run until the next scheduling point: the earliest pending
-        // release (a possible preemption), capped by the quantum.
-        double next_event = std::numeric_limits<double>::infinity();
-        for (const auto &u : tasks_)
-            if (u->released < jobs_per_task && u->done == u->released &&
-                !u->ready)
-                next_event = std::min(next_event, nominalRelease(*u));
-        Cycles budget = cfg_.quantumCycles;
-        if (std::isfinite(next_event) && next_event > wall_) {
-            const MHz f = t.cpu->frequency();
-            const Cycles until = static_cast<Cycles>(
-                std::ceil((next_event - wall_) * f * 1e6));
-            budget = std::min(budget, std::max<Cycles>(until, 1));
-        }
-
-        const StepResult sr = t.rt->stepInstance(budget);
-        wall_ += sr.ranSeconds;
-        t.jobBusy += sr.ranSeconds;
-        t.stats.busySeconds += sr.ranSeconds;
-        if (sr.recovered) {
-            ++t.stats.checkpointMisses;
-            ++outcome_.checkpointMisses;
-            schedEvent(EventKind::SchedRecovery, next,
-                       static_cast<std::uint64_t>(std::max(
-                           0, t.rt->activeMissedSubtask())),
-                       0);
-        }
-
-        if (sr.completed) {
-            const TaskStats ts = t.rt->finishInstance();
-            JobRecord jr;
-            jr.task = next;
-            jr.job = t.released - 1;
-            jr.releaseSeconds = t.releaseNominal;
-            jr.completionSeconds = wall_;
-            jr.deadlineSeconds = t.deadline;
-            jr.deadlineMet = wall_ <= t.deadline + 1e-12;
-            jr.missedCheckpoint = ts.missedCheckpoint;
-            jr.preemptions = t.jobPreemptions;
-            jr.busySeconds = t.jobBusy;
-            jobs_.push_back(jr);
-            ++outcome_.jobs;
-
-            SchedTaskStats &st = t.stats;
-            ++st.jobs;
-            st.retired += ts.retired;
-            if (!jr.deadlineMet) {
-                ++st.deadlineMisses;
-                ++outcome_.deadlineMisses;
-            }
-            if (t.def.expectedChecksum &&
-                (!ts.checksumReported ||
-                 ts.checksum != t.def.expectedChecksum))
-                ++st.badChecksums;
-            const double slack = t.deadline - wall_;
-            if (st.jobs == 1 || slack < st.minSlackSeconds)
-                st.minSlackSeconds = slack;
-            st.maxResponseSeconds = std::max(
-                st.maxResponseSeconds, wall_ - t.releaseNominal);
-
-            t.ready = false;
-            ++t.done;
-            schedEvent(EventKind::SchedComplete, next,
-                       static_cast<std::uint64_t>(jr.job),
-                       jr.deadlineMet ? 1 : 0);
-            onCore_ = -1;
-        }
-
-        if (wall_ > horizon)
-            fatal("scheduler: wall clock %.3g s exceeded the runaway "
-                  "horizon %.3g s",
-                  wall_, horizon);
+        c.onCore = c.lastOn = next;
+        t.host = c.id;
+        ++c.out->dispatches;
+        ++c.dispatches;
+        emit(c, EventKind::SchedDispatch, next,
+             static_cast<std::uint64_t>(t.released - 1),
+             static_cast<std::uint64_t>(f));
     }
-
-    outcome_.wallSeconds = wall_;
-    return outcome_;
-}
-
-/**
- * The multi-core engine: every core keeps its own wall clock (they are
- * independent clock domains), and the chip is stepped by always letting
- * the lowest-id core with runnable work at the earliest local time run
- * one slice. Releases are observed lazily against each core's own
- * clock — a core never sees a job released, or a migrated job
- * suspended, in its local future — which keeps the interleaving a pure
- * function of the task set (determinism the chip_suite pins down).
- */
-ScheduleOutcome
-MultiTaskScheduler::runMulti(int jobs_per_task)
-{
-    const int m = cfg_.cores;
-    bus_ = std::make_unique<chip::ChipInterconnect>(m, cfg_.bus);
-    assignment_.assign(static_cast<std::size_t>(numTasks()), -1);
-    if (cfg_.placement == PlacementPolicy::Partitioned)
-        assignment_ = partitionedAssignment();
-
-    jobs_.clear();
-    outcome_ = ScheduleOutcome{};
-    coreStats_.assign(static_cast<std::size_t>(m), CoreStats{});
-    std::vector<double> cwall(static_cast<std::size_t>(m), 0.0);
-    std::vector<int> onCore(static_cast<std::size_t>(m), -1);
-    std::vector<int> lastOn(static_cast<std::size_t>(m), -1);
-    std::vector<MHz> cfreq(static_cast<std::size_t>(m), 0);
-    std::vector<int> taskCore(static_cast<std::size_t>(numTasks()), -1);
-    for (auto &t : tasks_)
-        t->avail = 0.0;
-
-    double horizon = 1e-3;
-    for (const auto &t : tasks_)
-        horizon = std::max(horizon,
-                           t->def.phaseSeconds +
-                               (jobs_per_task + 2) * t->def.periodSeconds);
-    horizon = 10.0 * horizon + 1.0;
-
-    Tracer *const tr = currentTracer();
-    const auto schedEvent = [&](int core, double w, EventKind k, int task,
-                                std::uint64_t b, std::uint64_t c) {
-        if (!tr)
-            return;
-        const Cycles off = tr->cycleOffset();
-        const int prevCore = tr->coreId();
-        tr->setCycleOffset(0);
-        tr->setCoreId(core);
-        tr->record(k, static_cast<Cycles>(std::llround(w * 1e9)),
-                   static_cast<std::uint64_t>(task), b, c, w);
-        tr->setCoreId(prevCore);
-        tr->setCycleOffset(off);
-    };
-
-    // Task @p i has an unreleased job pending?
-    const auto pendingRelease = [&](const ManagedTask &t) {
-        return t.released < jobs_per_task && t.done == t.released &&
-               !t.ready;
-    };
-    // May core @p c ever run task @p i?
-    const auto placedOn = [&](int i, int c) {
-        const int a = assignment_[static_cast<std::size_t>(i)];
-        return a < 0 || a == c;
-    };
-    // Release task @p i's next job, first observed due at wall @p w.
-    const auto release = [&](int i, double w) {
-        ManagedTask &t = *tasks_[static_cast<std::size_t>(i)];
-        t.releaseNominal = nominalRelease(t);
-        t.deadline = t.releaseNominal + t.def.periodSeconds;
-        t.ready = true;
-        t.avail = t.releaseNominal;
-        t.jobPreemptions = 0;
-        t.jobBusy = 0.0;
-        ++t.released;
-        schedEvent(-1, w, EventKind::SchedRelease, i,
-                   static_cast<std::uint64_t>(t.released - 1), 0);
-    };
-
-    for (;;) {
-        bool all_done = true;
-        for (const auto &t : tasks_)
-            if (t->released < jobs_per_task || t->done < t->released)
-                all_done = false;
-        if (all_done)
-            break;
-
-        // Visit cores in (local wall, id) order; the first one with a
-        // runnable job executes a slice this iteration.
-        std::vector<int> order(static_cast<std::size_t>(m));
-        for (int c = 0; c < m; ++c)
-            order[static_cast<std::size_t>(c)] = c;
-        std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-            return cwall[static_cast<std::size_t>(a)] <
-                   cwall[static_cast<std::size_t>(b)];
-        });
-
-        int core = -1;
-        int next = -1;
-        for (int c : order) {
-            const double w = cwall[static_cast<std::size_t>(c)];
-            for (int i = 0; i < numTasks(); ++i)
-                if (pendingRelease(*tasks_[static_cast<std::size_t>(i)]) &&
-                    nominalRelease(*tasks_[static_cast<std::size_t>(i)]) <=
-                        w + 1e-15)
-                    release(i, w);
-            int best = -1;
-            double best_key = 0.0;
-            for (int i = 0; i < numTasks(); ++i) {
-                const ManagedTask &t = *tasks_[static_cast<std::size_t>(i)];
-                if (!t.ready || !placedOn(i, c))
-                    continue;
-                const int host = taskCore[static_cast<std::size_t>(i)];
-                if (host != -1 && host != c)
-                    continue;    // its context is live on another core
-                if (t.avail > w + 1e-15)
-                    continue;    // released/suspended in c's future
-                const double key = cfg_.policy == SchedPolicy::Edf
-                    ? t.deadline
-                    : t.def.periodSeconds;
-                if (best < 0 || key < best_key) {
-                    best = i;
-                    best_key = key;
-                }
-            }
-            if (best >= 0) {
-                core = c;
-                next = best;
-                break;
-            }
-        }
-
-        if (core < 0) {
-            // Every core is idle at its local time: advance each to its
-            // next local event (a fresh release, or a suspended job
-            // becoming available to it).
-            bool advanced = false;
-            for (int c = 0; c < m; ++c) {
-                double tn = std::numeric_limits<double>::infinity();
-                for (int i = 0; i < numTasks(); ++i) {
-                    const ManagedTask &t =
-                        *tasks_[static_cast<std::size_t>(i)];
-                    if (!placedOn(i, c))
-                        continue;
-                    if (pendingRelease(t))
-                        tn = std::min(tn, nominalRelease(t));
-                    else if (t.ready &&
-                             taskCore[static_cast<std::size_t>(i)] == -1)
-                        tn = std::min(tn, t.avail);
-                }
-                double &w = cwall[static_cast<std::size_t>(c)];
-                if (std::isfinite(tn) && tn > w) {
-                    coreStats_[static_cast<std::size_t>(c)].idleSeconds +=
-                        tn - w;
-                    outcome_.idleSeconds += tn - w;
-                    w = tn;
-                    advanced = true;
-                }
-            }
-            if (!advanced)
-                fatal("scheduler: idle with no pending release");
-            continue;
-        }
-
-        ManagedTask &t = *tasks_[static_cast<std::size_t>(next)];
-        double &w = cwall[static_cast<std::size_t>(core)];
-        CoreStats &cs = coreStats_[static_cast<std::size_t>(core)];
-        if (tr)
-            tr->setCoreId(core);
-
-        if (onCore[static_cast<std::size_t>(core)] != next) {
-            const int out_i = onCore[static_cast<std::size_t>(core)];
-            if (out_i >= 0) {
-                ManagedTask &out = *tasks_[static_cast<std::size_t>(out_i)];
-                const StepResult d = out.rt->preemptDrain();
-                w += d.ranSeconds;
-                cs.busySeconds += d.ranSeconds;
-                out.jobBusy += d.ranSeconds;
-                out.stats.busySeconds += d.ranSeconds;
-                if (d.recovered) {
-                    ++out.stats.checkpointMisses;
-                    ++outcome_.checkpointMisses;
-                    schedEvent(core, w, EventKind::SchedRecovery, out_i,
-                               static_cast<std::uint64_t>(std::max(
-                                   0, out.rt->activeMissedSubtask())),
-                               0);
-                }
-                ++out.jobPreemptions;
-                ++out.stats.preemptions;
-                ++outcome_.preemptions;
-                // Suspended here: available to any core from this wall
-                // time on (its context ships with its private rig).
-                out.avail = w;
-                taskCore[static_cast<std::size_t>(out_i)] = -1;
-                schedEvent(core, w, EventKind::SchedPreempt, out_i,
-                           static_cast<std::uint64_t>(out.released - 1),
-                           static_cast<std::uint64_t>(next));
-            }
-            if (!t.rt->instanceActive()) {
-                const int job = t.released - 1;
-                if (t.def.forceMissEvery > 0 &&
-                    job % t.def.forceMissEvery == 0)
-                    t.rt->forceNextMiss(t.def.forceMissIncrement);
-                const bool induce = t.def.induceMissEvery > 0 &&
-                                    job > 0 &&
-                                    job % t.def.induceMissEvery == 0;
-                t.rt->beginInstance(induce);
-            }
-            const MHz f = resolveFrequencyOn(
-                next, cfreq[static_cast<std::size_t>(core)]);
-            if (lastOn[static_cast<std::size_t>(core)] != next) {
-                const double sw = switchSeconds(f);
-                w += sw;
-                outcome_.switchOverheadSeconds += sw;
-                ++outcome_.contextSwitches;
-                ++cs.contextSwitches;
-            }
-            onCore[static_cast<std::size_t>(core)] = next;
-            lastOn[static_cast<std::size_t>(core)] = next;
-            taskCore[static_cast<std::size_t>(next)] = core;
-            ++outcome_.dispatches;
-            ++cs.dispatches;
-            schedEvent(core, w, EventKind::SchedDispatch, next,
-                       static_cast<std::uint64_t>(t.released - 1),
-                       static_cast<std::uint64_t>(f));
-        }
-
+    if (bus_) {
         // Route the task's misses through this core's bus port and
         // re-anchor the bus clock to the core's wall; anchoring every
         // slice bounds cycle-to-ns drift to one quantum.
-        t.memctrl.attachBus(bus_.get(), core);
-        bus_->syncCore(core, w * 1e9, t.cpu->cycles());
-
-        // Run to the next scheduling point: the earliest release that
-        // could preempt on this core, capped by the quantum.
-        double next_event = std::numeric_limits<double>::infinity();
-        for (int i = 0; i < numTasks(); ++i)
-            if (pendingRelease(*tasks_[static_cast<std::size_t>(i)]) &&
-                placedOn(i, core))
-                next_event = std::min(
-                    next_event,
-                    nominalRelease(*tasks_[static_cast<std::size_t>(i)]));
-        Cycles budget = cfg_.quantumCycles;
-        if (std::isfinite(next_event) && next_event > w) {
-            const MHz f = t.cpu->frequency();
-            const Cycles until = static_cast<Cycles>(
-                std::ceil((next_event - w) * f * 1e6));
-            budget = std::min(budget, std::max<Cycles>(until, 1));
-        }
-
-        const StepResult sr = t.rt->stepInstance(budget);
-        w += sr.ranSeconds;
-        cs.busySeconds += sr.ranSeconds;
-        t.jobBusy += sr.ranSeconds;
-        t.stats.busySeconds += sr.ranSeconds;
-        if (sr.recovered) {
-            ++t.stats.checkpointMisses;
-            ++outcome_.checkpointMisses;
-            schedEvent(core, w, EventKind::SchedRecovery, next,
-                       static_cast<std::uint64_t>(std::max(
-                           0, t.rt->activeMissedSubtask())),
-                       0);
-        }
-
-        if (sr.completed) {
-            const TaskStats ts = t.rt->finishInstance();
-            JobRecord jr;
-            jr.task = next;
-            jr.job = t.released - 1;
-            jr.releaseSeconds = t.releaseNominal;
-            jr.completionSeconds = w;
-            jr.deadlineSeconds = t.deadline;
-            jr.deadlineMet = w <= t.deadline + 1e-12;
-            jr.missedCheckpoint = ts.missedCheckpoint;
-            jr.preemptions = t.jobPreemptions;
-            jr.busySeconds = t.jobBusy;
-            jobs_.push_back(jr);
-            ++outcome_.jobs;
-
-            SchedTaskStats &st = t.stats;
-            ++st.jobs;
-            st.retired += ts.retired;
-            if (!jr.deadlineMet) {
-                ++st.deadlineMisses;
-                ++outcome_.deadlineMisses;
-            }
-            if (t.def.expectedChecksum &&
-                (!ts.checksumReported ||
-                 ts.checksum != t.def.expectedChecksum))
-                ++st.badChecksums;
-            const double slack = t.deadline - w;
-            if (st.jobs == 1 || slack < st.minSlackSeconds)
-                st.minSlackSeconds = slack;
-            st.maxResponseSeconds =
-                std::max(st.maxResponseSeconds, w - t.releaseNominal);
-
-            t.ready = false;
-            ++t.done;
-            schedEvent(core, w, EventKind::SchedComplete, next,
-                       static_cast<std::uint64_t>(jr.job),
-                       jr.deadlineMet ? 1 : 0);
-            onCore[static_cast<std::size_t>(core)] = -1;
-            taskCore[static_cast<std::size_t>(next)] = -1;
-        }
-
-        if (w > horizon)
-            fatal("scheduler: core %d wall clock %.3g s exceeded the "
-                  "runaway horizon %.3g s",
-                  core, w, horizon);
+        t.memctrl.attachBus(bus_.get(), c.id);
+        bus_->syncCore(c.id, c.w * 1e9, t.cpu->cycles());
     }
 
-    if (tr)
-        tr->setCoreId(-1);
-    double wmax = 0.0;
-    for (int c = 0; c < m; ++c) {
-        coreStats_[static_cast<std::size_t>(c)].wallSeconds =
-            cwall[static_cast<std::size_t>(c)];
-        wmax = std::max(wmax, cwall[static_cast<std::size_t>(c)]);
+    // Run to the next scheduling point: the earliest release that could
+    // preempt on this core, or the barrier, capped by the quantum.
+    double nextEvent = barrier;
+    for (int i : c.tasks) {
+        const ManagedTask &u = *tasks_[static_cast<std::size_t>(i)];
+        if (pendingRelease(u))
+            nextEvent = std::min(nextEvent, nominalRelease(u));
     }
-    wall_ = wmax;
-    outcome_.wallSeconds = wmax;
-    // The rigs outlive this run; detach them from the bus (the bus
-    // itself stays alive for buildStats).
-    for (auto &t : tasks_)
-        t->memctrl.attachBus(nullptr);
-    return outcome_;
+    Cycles budget = cfg_.quantumCycles;
+    if (std::isfinite(nextEvent) && nextEvent > c.w) {
+        const MHz f = t.cpu->frequency();
+        const Cycles until = static_cast<Cycles>(
+            std::ceil((nextEvent - c.w) * f * 1e6));
+        budget = std::min(budget, std::max<Cycles>(until, 1));
+    }
+    const StepResult sr = t.rt->stepInstance(budget);
+    charge(c, next, sr);
+
+    if (sr.completed) {
+        const TaskStats ts = t.rt->finishInstance();
+        const JobRecord jr{next, t.released - 1, t.releaseNominal, c.w,
+                           t.deadline, c.w <= t.deadline + 1e-12,
+                           ts.missedCheckpoint, t.jobPreemptions,
+                           t.jobBusy};
+        c.jobs->push_back(jr);
+        ++c.out->jobs;
+
+        SchedTaskStats &st = t.stats;
+        ++st.jobs;
+        st.retired += ts.retired;
+        if (!jr.deadlineMet) {
+            ++st.deadlineMisses;
+            ++c.out->deadlineMisses;
+        }
+        if (t.def.expectedChecksum &&
+            (!ts.checksumReported ||
+             ts.checksum != t.def.expectedChecksum))
+            ++st.badChecksums;
+        const double slack = t.deadline - c.w;
+        if (st.jobs == 1 || slack < st.minSlackSeconds)
+            st.minSlackSeconds = slack;
+        st.maxResponseSeconds =
+            std::max(st.maxResponseSeconds, c.w - t.releaseNominal);
+
+        t.ready = false;
+        ++t.done;
+        c.onCore = t.host = -1;
+        emit(c, EventKind::SchedComplete, next,
+             static_cast<std::uint64_t>(jr.job), jr.deadlineMet ? 1 : 0);
+    }
+
+    if (c.w > horizon_)
+        fatal("scheduler: core %d wall clock %.3g s exceeded the "
+              "runaway horizon %.3g s",
+              c.id, c.w, horizon_);
 }
 
-/**
- * The partitioned engine: every core owns a disjoint partition, so the
- * per-core schedules are independent except for shared-bus contention
- * (resolved by epoch-buffered routing: within one epochSeconds quantum
- * a core sees only the barrier-frozen bus plus its own traffic, and the
- * barrier drain replays all requests in (ns, core id) order) and the
- * output streams (per-core job lists, counters and trace rings, merged
- * in deterministic order at the barriers / at the end). Every per-core
- * quantity has exactly one writer, so the epoch's cores can run on
- * concurrent worker threads — and because nothing a core computes
- * depends on how the host interleaved them, the result is bit-identical
- * for any VISA_THREADS setting, including 1.
- */
-ScheduleOutcome
-MultiTaskScheduler::runPartitioned(int jobs_per_task)
+void
+MultiTaskScheduler::charge(CoreState &c, int task, const StepResult &r)
 {
-    const int m = cfg_.cores;
-    bus_ = std::make_unique<chip::ChipInterconnect>(m, cfg_.bus);
-    assignment_ = partitionedAssignment();
-
-    jobs_.clear();
-    outcome_ = ScheduleOutcome{};
-    coreStats_.assign(static_cast<std::size_t>(m), CoreStats{});
-    for (auto &t : tasks_)
-        t->avail = 0.0;
-
-    double horizon = 1e-3;
-    for (const auto &t : tasks_)
-        horizon = std::max(horizon,
-                           t->def.phaseSeconds +
-                               (jobs_per_task + 2) * t->def.periodSeconds);
-    horizon = 10.0 * horizon + 1.0;
-    const double epoch =
-        cfg_.epochSeconds > 0.0 ? cfg_.epochSeconds : 1e-3;
-
-    Tracer *const tr = currentTracer();
-    std::vector<Tracer> rings;
-    if (tr) {
-        rings.reserve(static_cast<std::size_t>(m));
-        for (int c = 0; c < m; ++c) {
-            rings.emplace_back(tr->capacity());
-            rings.back().setKindMask(tr->kindMask());
-            rings.back().setCoreId(c);
-        }
+    ManagedTask &t = *tasks_[static_cast<std::size_t>(task)];
+    c.w += r.ranSeconds;
+    c.busySeconds += r.ranSeconds;
+    t.jobBusy += r.ranSeconds;
+    t.stats.busySeconds += r.ranSeconds;
+    if (r.recovered) {
+        ++t.stats.checkpointMisses;
+        ++c.out->checkpointMisses;
+        emit(c, EventKind::SchedRecovery, task,
+             static_cast<std::uint64_t>(
+                 std::max(0, t.rt->activeMissedSubtask())),
+             0);
     }
+}
 
-    /** One core's whole engine state; written only by its own arm. */
-    struct CoreEngine
-    {
-        std::vector<int> members;    ///< task indices of the partition
-        double w = 0.0;              ///< local wall clock
-        int onCore = -1;
-        int lastOn = -1;
-        MHz freq = 0;
-        bool done = false;
-        ScheduleOutcome out;         ///< this core's counter shares
-        std::vector<JobRecord> jobs;
-    };
-    std::vector<CoreEngine> eng(static_cast<std::size_t>(m));
-    for (int i = 0; i < numTasks(); ++i)
-        eng[static_cast<std::size_t>(assignment_[static_cast<std::size_t>(
-                i)])]
-            .members.push_back(i);
-
-    // Stamp @p k on @p ring at wall @p w; @p core overrides the ring's
-    // standing core id (releases stay unstamped, core -1, like the
-    // serial engines').
-    const auto ringEvent = [](Tracer *ring, int core, double w,
-                              EventKind k, int task, std::uint64_t b,
-                              std::uint64_t c) {
-        if (!ring)
-            return;
-        const Cycles off = ring->cycleOffset();
-        const int prevCore = ring->coreId();
-        ring->setCycleOffset(0);
-        ring->setCoreId(core);
-        ring->record(k, static_cast<Cycles>(std::llround(w * 1e9)),
-                     static_cast<std::uint64_t>(task), b, c, w);
-        ring->setCoreId(prevCore);
-        ring->setCycleOffset(off);
-    };
-    const auto pendingRelease = [&](const ManagedTask &t) {
-        return t.released < jobs_per_task && t.done == t.released &&
-               !t.ready;
-    };
-
-    // Advance core @p c's schedule to @p epochEnd (or to completion of
-    // its partition). Runs on a worker thread; touches only this
-    // core's engine, its own tasks' rigs/stats, its coreStats_ slot,
-    // its bus lane/clock, and its trace ring.
-    const auto advanceTo = [&](int c, double epochEnd) {
-        CoreEngine &e = eng[static_cast<std::size_t>(c)];
-        if (e.done)
-            return;
-        CoreStats &cs = coreStats_[static_cast<std::size_t>(c)];
-        Tracer *const ring =
-            tr ? &rings[static_cast<std::size_t>(c)] : nullptr;
-        Tracer *const prev = ring ? installTracer(ring) : nullptr;
-
-        for (;;) {
-            bool all_done = true;
-            for (int i : e.members) {
-                const ManagedTask &t = *tasks_[static_cast<std::size_t>(i)];
-                if (t.released < jobs_per_task || t.done < t.released) {
-                    all_done = false;
-                    break;
-                }
-            }
-            if (all_done) {
-                e.done = true;
-                break;
-            }
-            if (e.w >= epochEnd)
-                break;
-
-            // Release every own job due at the local wall.
-            for (int i : e.members) {
-                ManagedTask &t = *tasks_[static_cast<std::size_t>(i)];
-                if (pendingRelease(t) &&
-                    nominalRelease(t) <= e.w + 1e-15) {
-                    t.releaseNominal = nominalRelease(t);
-                    t.deadline = t.releaseNominal + t.def.periodSeconds;
-                    t.ready = true;
-                    t.avail = t.releaseNominal;
-                    t.jobPreemptions = 0;
-                    t.jobBusy = 0.0;
-                    ++t.released;
-                    ringEvent(ring, -1, e.w, EventKind::SchedRelease, i,
-                              static_cast<std::uint64_t>(t.released - 1),
-                              0);
-                }
-            }
-
-            // Highest-priority ready own job; lowest index on ties.
-            int next = -1;
-            double best_key = 0.0;
-            for (int i : e.members) {
-                const ManagedTask &t = *tasks_[static_cast<std::size_t>(i)];
-                if (!t.ready || t.avail > e.w + 1e-15)
-                    continue;
-                const double key = cfg_.policy == SchedPolicy::Edf
-                    ? t.deadline
-                    : t.def.periodSeconds;
-                if (next < 0 || key < best_key) {
-                    next = i;
-                    best_key = key;
-                }
-            }
-
-            if (next < 0) {
-                // Idle to the next own event, capped at the barrier.
-                double tn = std::numeric_limits<double>::infinity();
-                for (int i : e.members) {
-                    const ManagedTask &t =
-                        *tasks_[static_cast<std::size_t>(i)];
-                    if (pendingRelease(t))
-                        tn = std::min(tn, nominalRelease(t));
-                    else if (t.ready)
-                        tn = std::min(tn, t.avail);
-                }
-                if (!std::isfinite(tn))
-                    fatal("scheduler: core %d idle with no pending "
-                          "release",
-                          c);
-                const double target = std::min(tn, epochEnd);
-                if (target > e.w) {
-                    cs.idleSeconds += target - e.w;
-                    e.out.idleSeconds += target - e.w;
-                    e.w = target;
-                }
-                if (tn > epochEnd)
-                    break;    // nothing more until after the barrier
-                continue;
-            }
-
-            ManagedTask &t = *tasks_[static_cast<std::size_t>(next)];
-            if (e.onCore != next) {
-                if (e.onCore >= 0) {
-                    ManagedTask &out =
-                        *tasks_[static_cast<std::size_t>(e.onCore)];
-                    const StepResult d = out.rt->preemptDrain();
-                    e.w += d.ranSeconds;
-                    cs.busySeconds += d.ranSeconds;
-                    out.jobBusy += d.ranSeconds;
-                    out.stats.busySeconds += d.ranSeconds;
-                    if (d.recovered) {
-                        ++out.stats.checkpointMisses;
-                        ++e.out.checkpointMisses;
-                        ringEvent(ring, c, e.w, EventKind::SchedRecovery,
-                                  e.onCore,
-                                  static_cast<std::uint64_t>(std::max(
-                                      0, out.rt->activeMissedSubtask())),
-                                  0);
-                    }
-                    ++out.jobPreemptions;
-                    ++out.stats.preemptions;
-                    ++e.out.preemptions;
-                    out.avail = e.w;
-                    ringEvent(ring, c, e.w, EventKind::SchedPreempt,
-                              e.onCore,
-                              static_cast<std::uint64_t>(out.released - 1),
-                              static_cast<std::uint64_t>(next));
-                }
-                if (!t.rt->instanceActive()) {
-                    const int job = t.released - 1;
-                    if (t.def.forceMissEvery > 0 &&
-                        job % t.def.forceMissEvery == 0)
-                        t.rt->forceNextMiss(t.def.forceMissIncrement);
-                    const bool induce = t.def.induceMissEvery > 0 &&
-                                        job > 0 &&
-                                        job % t.def.induceMissEvery == 0;
-                    t.rt->beginInstance(induce);
-                }
-                // Per-partition governor: on a partitioned chip each
-                // core is its own DVS domain, so MaxRequest maximizes
-                // over the partition's ready tasks only.
-                const MHz requested = t.rt->requestedFrequency();
-                MHz f = requested;
-                if (cfg_.governor == GovernorPolicy::MaxRequest) {
-                    for (int i : e.members) {
-                        const ManagedTask &u =
-                            *tasks_[static_cast<std::size_t>(i)];
-                        if (u.ready && u.rt->instanceActive())
-                            f = std::max(f, u.rt->requestedFrequency());
-                    }
-                }
-                if (f != requested)
-                    t.rt->overrideFrequency(f);
-                if (e.freq != 0 && f != e.freq)
-                    ++e.out.freqChanges;
-                e.freq = f;
-                if (e.lastOn != next) {
-                    const double sw = switchSeconds(f);
-                    e.w += sw;
-                    e.out.switchOverheadSeconds += sw;
-                    ++e.out.contextSwitches;
-                    ++cs.contextSwitches;
-                }
-                e.onCore = next;
-                e.lastOn = next;
-                ++e.out.dispatches;
-                ++cs.dispatches;
-                ringEvent(ring, c, e.w, EventKind::SchedDispatch, next,
-                          static_cast<std::uint64_t>(t.released - 1),
-                          static_cast<std::uint64_t>(f));
-            }
-
-            t.memctrl.attachBus(bus_.get(), c);
-            bus_->syncCore(c, e.w * 1e9, t.cpu->cycles());
-
-            // Slice to the next scheduling point: the earliest own
-            // release or the barrier, capped by the quantum.
-            double next_event = epochEnd;
-            for (int i : e.members) {
-                const ManagedTask &u =
-                    *tasks_[static_cast<std::size_t>(i)];
-                if (pendingRelease(u))
-                    next_event = std::min(next_event, nominalRelease(u));
-            }
-            Cycles budget = cfg_.quantumCycles;
-            if (next_event > e.w) {
-                const MHz f = t.cpu->frequency();
-                const Cycles until = static_cast<Cycles>(
-                    std::ceil((next_event - e.w) * f * 1e6));
-                budget = std::min(budget, std::max<Cycles>(until, 1));
-            }
-
-            const StepResult sr = t.rt->stepInstance(budget);
-            e.w += sr.ranSeconds;
-            cs.busySeconds += sr.ranSeconds;
-            t.jobBusy += sr.ranSeconds;
-            t.stats.busySeconds += sr.ranSeconds;
-            if (sr.recovered) {
-                ++t.stats.checkpointMisses;
-                ++e.out.checkpointMisses;
-                ringEvent(ring, c, e.w, EventKind::SchedRecovery, next,
-                          static_cast<std::uint64_t>(std::max(
-                              0, t.rt->activeMissedSubtask())),
-                          0);
-            }
-
-            if (sr.completed) {
-                const TaskStats ts = t.rt->finishInstance();
-                JobRecord jr;
-                jr.task = next;
-                jr.job = t.released - 1;
-                jr.releaseSeconds = t.releaseNominal;
-                jr.completionSeconds = e.w;
-                jr.deadlineSeconds = t.deadline;
-                jr.deadlineMet = e.w <= t.deadline + 1e-12;
-                jr.missedCheckpoint = ts.missedCheckpoint;
-                jr.preemptions = t.jobPreemptions;
-                jr.busySeconds = t.jobBusy;
-                e.jobs.push_back(jr);
-                ++e.out.jobs;
-
-                SchedTaskStats &st = t.stats;
-                ++st.jobs;
-                st.retired += ts.retired;
-                if (!jr.deadlineMet) {
-                    ++st.deadlineMisses;
-                    ++e.out.deadlineMisses;
-                }
-                if (t.def.expectedChecksum &&
-                    (!ts.checksumReported ||
-                     ts.checksum != t.def.expectedChecksum))
-                    ++st.badChecksums;
-                const double slack = t.deadline - e.w;
-                if (st.jobs == 1 || slack < st.minSlackSeconds)
-                    st.minSlackSeconds = slack;
-                st.maxResponseSeconds = std::max(st.maxResponseSeconds,
-                                                 e.w - t.releaseNominal);
-
-                t.ready = false;
-                ++t.done;
-                ringEvent(ring, c, e.w, EventKind::SchedComplete, next,
-                          static_cast<std::uint64_t>(jr.job),
-                          jr.deadlineMet ? 1 : 0);
-                e.onCore = -1;
-            }
-
-            if (e.w > horizon)
-                fatal("scheduler: core %d wall clock %.3g s exceeded "
-                      "the runaway horizon %.3g s",
-                      c, e.w, horizon);
-        }
-
-        if (ring)
-            installTracer(prev);
-    };
-
-    // The epoch loop: barrier-synchronized quanta until every
-    // partition's schedule completes.
-    for (double epochStart = 0.0;; epochStart += epoch) {
-        bool any = false;
-        for (const CoreEngine &e : eng)
-            if (!e.done)
-                any = true;
-        if (!any)
-            break;
-        if (epochStart > horizon)
-            fatal("scheduler: epoch clock %.3g s exceeded the runaway "
-                  "horizon %.3g s",
-                  epochStart, horizon);
-        const double epochEnd = epochStart + epoch;
-        bus_->beginEpoch();
-        parallelFor(static_cast<std::size_t>(m), [&](std::size_t c) {
-            advanceTo(static_cast<int>(c), epochEnd);
-        });
-        bus_->drainEpoch();
-        if (tr)
-            Tracer::mergeInto(*tr, rings);
-    }
-
-    // Deterministic merges, all in core order: counters summed, the
-    // job lists k-way merged by (completion, core).
-    double wmax = 0.0;
-    for (int c = 0; c < m; ++c) {
-        const CoreEngine &e = eng[static_cast<std::size_t>(c)];
-        coreStats_[static_cast<std::size_t>(c)].wallSeconds = e.w;
-        wmax = std::max(wmax, e.w);
-        outcome_.jobs += e.out.jobs;
-        outcome_.dispatches += e.out.dispatches;
-        outcome_.preemptions += e.out.preemptions;
-        outcome_.contextSwitches += e.out.contextSwitches;
-        outcome_.freqChanges += e.out.freqChanges;
-        outcome_.switchOverheadSeconds += e.out.switchOverheadSeconds;
-        outcome_.idleSeconds += e.out.idleSeconds;
-        outcome_.deadlineMisses += e.out.deadlineMisses;
-        outcome_.checkpointMisses += e.out.checkpointMisses;
-    }
-    std::vector<std::size_t> idx(static_cast<std::size_t>(m), 0);
-    for (;;) {
-        int pick = -1;
-        double pickT = 0.0;
-        for (int c = 0; c < m; ++c) {
-            const CoreEngine &e = eng[static_cast<std::size_t>(c)];
-            const std::size_t i = idx[static_cast<std::size_t>(c)];
-            if (i >= e.jobs.size())
-                continue;
-            if (pick < 0 || e.jobs[i].completionSeconds < pickT) {
-                pick = c;
-                pickT = e.jobs[i].completionSeconds;
-            }
-        }
-        if (pick < 0)
-            break;
-        jobs_.push_back(eng[static_cast<std::size_t>(pick)]
-                            .jobs[idx[static_cast<std::size_t>(pick)]]);
-        ++idx[static_cast<std::size_t>(pick)];
-    }
-    wall_ = wmax;
-    outcome_.wallSeconds = wmax;
-    for (auto &t : tasks_)
-        t->memctrl.attachBus(nullptr);
-    return outcome_;
+void
+MultiTaskScheduler::emit(const CoreState &c, EventKind k, int task,
+                         std::uint64_t b, std::uint64_t arg) const
+{
+    Tracer *const tr = c.sink;
+    if (!tr)
+        return;
+    // Scheduler events carry the core's wall clock (integer nanoseconds
+    // in the cycle field): per-task cycle domains are incomparable, and
+    // the runtimes bank their own offsets into the tracer. Releases are
+    // chip-level events and stay unstamped; on one core the caller's
+    // core stamp is left alone.
+    const Cycles off = tr->cycleOffset();
+    const int prevCore = tr->coreId();
+    tr->setCycleOffset(0);
+    if (cfg_.cores > 1)
+        tr->setCoreId(k == EventKind::SchedRelease ? -1 : c.id);
+    tr->record(k, static_cast<Cycles>(std::llround(c.w * 1e9)),
+               static_cast<std::uint64_t>(task), b, arg, c.w);
+    tr->setCoreId(prevCore);
+    tr->setCycleOffset(off);
 }
 
 const SchedTaskStats &
@@ -1330,12 +828,12 @@ MultiTaskScheduler::buildStats(StatSet &set) const
                   // Multi-core: total execution over m x makespan
                   // (per-core idle is measured against local walls, so
                   // the single-core identity does not generalize).
-                  if (!coreStats_.empty()) {
+                  if (bus_) {
                       double busy = 0.0;
-                      for (const CoreStats &cs : coreStats_)
-                          busy += cs.busySeconds;
+                      for (const CoreState &c : cores_)
+                          busy += c.busySeconds;
                       return busy /
-                             (static_cast<double>(coreStats_.size()) *
+                             (static_cast<double>(cores_.size()) *
                               outcome_.wallSeconds);
                   }
                   return (outcome_.wallSeconds - outcome_.idleSeconds) /
@@ -1368,36 +866,33 @@ MultiTaskScheduler::buildStats(StatSet &set) const
                    "worst observed response time");
     }
     // Multi-core runs add per-core groups plus the shared-bus counters.
-    for (int c = 0; c < static_cast<int>(coreStats_.size()); ++c) {
-        const CoreStats &cs = coreStats_[static_cast<std::size_t>(c)];
-        StatGroup &cg = set.group("sched.core" + std::to_string(c));
+    if (!bus_)
+        return;
+    for (const CoreState &c : cores_) {
+        StatGroup &cg = set.group("sched.core" + std::to_string(c.id));
         cg.scalar("dispatches", "dispatch decisions on this core")
-            .set(static_cast<std::uint64_t>(cs.dispatches));
+            .set(static_cast<std::uint64_t>(c.dispatches));
         cg.scalar("context_switches", "running-task changes")
-            .set(static_cast<std::uint64_t>(cs.contextSwitches));
-        cg.formula("busy_seconds", [&cs] { return cs.busySeconds; },
+            .set(static_cast<std::uint64_t>(c.contextSwitches));
+        cg.formula("busy_seconds", [&c] { return c.busySeconds; },
                    "execution time spent on this core");
-        cg.formula("idle_seconds", [&cs] { return cs.idleSeconds; },
+        cg.formula("idle_seconds", [&c] { return c.idleSeconds; },
                    "idle time on this core");
-        cg.formula("wall_seconds", [&cs] { return cs.wallSeconds; },
+        cg.formula("wall_seconds", [&c] { return c.w; },
                    "this core's local schedule length");
     }
-    if (bus_) {
-        StatGroup &bg = set.group("sched.bus");
-        bg.scalar("requests", "misses routed over the shared bus")
-            .set(bus_->requests());
-        bg.scalar("l2_hits", "shared-L2 tag hits").set(bus_->l2Hits());
-        bg.scalar("bank_conflicts", "requests that waited on a busy bank")
-            .set(bus_->bankConflicts());
-        bg.scalar("mshr_stalls", "requests that waited for a chip MSHR")
-            .set(bus_->mshrStalls());
-        bg.scalar("bank_wait_ns",
-                  "total queueing delay behind busy banks, ns")
-            .set(static_cast<std::uint64_t>(bus_->bankWaitNs()));
-        bg.scalar("mshr_wait_ns",
-                  "total stall waiting for a free chip MSHR, ns")
-            .set(static_cast<std::uint64_t>(bus_->mshrWaitNs()));
-    }
+    StatGroup &bg = set.group("sched.bus");
+    bg.scalar("requests", "misses routed over the shared bus")
+        .set(bus_->requests());
+    bg.scalar("l2_hits", "shared-L2 tag hits").set(bus_->l2Hits());
+    bg.scalar("bank_conflicts", "requests that waited on a busy bank")
+        .set(bus_->bankConflicts());
+    bg.scalar("mshr_stalls", "requests that waited for a chip MSHR")
+        .set(bus_->mshrStalls());
+    bg.scalar("bank_wait_ns", "total queueing delay behind busy banks, ns")
+        .set(static_cast<std::uint64_t>(bus_->bankWaitNs()));
+    bg.scalar("mshr_wait_ns", "total stall waiting for a free chip MSHR, ns")
+        .set(static_cast<std::uint64_t>(bus_->mshrWaitNs()));
 }
 
 const char *

@@ -23,16 +23,29 @@
  * the running task. A shared DVS governor resolves the ready tasks'
  * per-task frequency requests into the single core frequency.
  *
- * With cores > 1 the engine scales out to a multi-core chip: each core
- * keeps its own wall clock and DVS domain, tasks are placed either
+ * One engine serves every core count and placement. Each core keeps
+ * its own wall clock and DVS domain; tasks are placed either
  * partitioned (P-EDF/P-RM: affinity pins, then worst-fit) or global
- * (G-EDF with migration at scheduling points), complex-mode misses of
- * the dispatched tasks contend on a shared chip bus
- * (chip/interconnect.hh), and admission composes the per-task
+ * (G-EDF with migration at scheduling points). A single core is simply
+ * m = 1: one partition holding every task. Every per-slice step
+ * (release, pick, preempt-drain and recovery, instance start, governor,
+ * switch cost, slice budget, completion accounting, runaway guard) is
+ * written once, and two drivers order the slices:
+ *
+ *  - concurrent (partitioned, m > 1): every core advances to the next
+ *    SchedulerConfig::epochSeconds barrier over the worker pool
+ *    (sim/parallel.hh), with per-core trace rings merged at the
+ *    barrier; bit-identical for any VISA_THREADS setting;
+ *  - serial (global, and every m = 1 run): the core with runnable work
+ *    at the lowest (local wall, id) runs one dispatch + slice.
+ *
+ * With m > 1, complex-mode misses of the dispatched tasks contend on a
+ * shared chip bus (chip/interconnect.hh) — the serial driver wraps each
+ * slice in its own bus epoch — and admission composes the per-task
  * single-core feasibility with a cross-core shared-memory interference
  * bound (see SchedulerConfig::memStallShare) before the per-core EDF/RM
- * or Goossens-Funk-Baruah test. cores == 1 is the historical engine,
- * bit-identical.
+ * or Goossens-Funk-Baruah test. With m = 1 nothing is shared: no bus,
+ * no barrier, and events go straight to the caller's tracer unstamped.
  */
 
 #ifndef VISA_CORE_SCHEDULER_HH
@@ -56,7 +69,7 @@ enum class SchedPolicy
     RateMonotonic,    ///< shortest period first (fixed priority)
 };
 
-/** How jobs map onto the cores of a multi-core chip (cores > 1). */
+/** How jobs map onto the cores of a chip. */
 enum class PlacementPolicy
 {
     /** Every task is pinned to one core (affinity, else worst-fit by
@@ -127,8 +140,7 @@ struct SchedulerConfig
     /** Core-utilization headroom the admission test reserves. */
     double utilizationMargin = 0.02;
 
-    // --- multi-core chip (cores > 1); cores == 1 is the historical
-    // --- single-core engine, bit-identical.
+    // --- chip geometry; cores == 1 shares nothing (no bus, no barrier).
     int cores = 1;
     PlacementPolicy placement = PlacementPolicy::Partitioned;
     /** Optional per-task core pins (task index -> core id; -1 = let
@@ -145,14 +157,13 @@ struct SchedulerConfig
      */
     double memStallShare = 0.2;
     /**
-     * Synchronization quantum of the partitioned multi-core engine:
-     * between two barriers every core advances its local schedule up to
-     * this much wall time with the shared bus in epoch-buffered mode
-     * (cores may run on concurrent worker threads; the barrier drain
-     * replays all bus traffic in deterministic order). Smaller epochs
-     * tighten cross-core contention lag; larger ones amortize the
-     * barrier. Partitioned placement only — global placement keeps the
-     * serial migrating engine.
+     * Synchronization quantum of the concurrent driver (partitioned,
+     * cores > 1): between two barriers every core advances its local
+     * schedule up to this much wall time inside one bus epoch (cores
+     * may run on concurrent worker threads; the barrier drain replays
+     * all bus traffic in deterministic order). Smaller epochs tighten
+     * cross-core contention lag; larger ones amortize the barrier. The
+     * serial driver (global placement, one core) has no barrier.
      */
     double epochSeconds = 1e-3;
 };
@@ -239,7 +250,7 @@ class MultiTaskScheduler
     /**
      * Contribute "sched" and per-task "sched.taskN" statistics groups
      * to @p set — plus "sched.coreN" and "sched.bus" groups after a
-     * multi-core run. Formulas capture `this`; dump while alive.
+     * run on cores > 1. Formulas capture `this`; dump while alive.
      */
     void buildStats(StatSet &set) const;
 
@@ -249,25 +260,14 @@ class MultiTaskScheduler
 
   private:
     struct ManagedTask;
-
-    /** Per-core accounting of a multi-core run. */
-    struct CoreStats
-    {
-        int dispatches = 0;
-        int contextSwitches = 0;
-        double busySeconds = 0.0;
-        double idleSeconds = 0.0;
-        double wallSeconds = 0.0;
-    };
+    struct CoreState;
 
     /** Wall seconds one switch takes at @p f. */
     double switchSeconds(MHz f) const;
     /** Nominal release time of task @p t's next unreleased job. */
     double nominalRelease(const ManagedTask &t) const;
-    int pickReady() const;
-    /** Resolve the governor for dispatching @p next; switches the
-     *  clock slot @p slot (and possibly the task's runtime). */
-    MHz resolveFrequencyOn(int next, MHz &slot);
+    /** Task @p t has a job due for release (its last one completed). */
+    bool pendingRelease(const ManagedTask &t) const;
 
     /** B_i multiplier bounding cross-core shared-memory interference;
      *  1.0 on a single core. */
@@ -279,28 +279,38 @@ class MultiTaskScheduler
      *  worst-fit by inflated utilization). Never fails; feasibility of
      *  the result is admissionError()'s job. */
     std::vector<int> partitionedAssignment() const;
-    /** The serial migrating multi-core engine (global placement). */
-    ScheduleOutcome runMulti(int jobs_per_task);
-    /**
-     * The partitioned multi-core engine: one independent per-core
-     * schedule per partition, advanced in epochSeconds quanta over the
-     * worker pool (sim/parallel.hh) with the shared bus epoch-buffered.
-     * Deterministic for any VISA_THREADS setting.
-     */
-    ScheduleOutcome runPartitioned(int jobs_per_task);
+
+    // ---- the engine: one core's steps, then the two drivers ----
+    /** Every job of core @p c's tasks completed. */
+    bool finished(const CoreState &c) const;
+    /** Release every job of @p c's tasks that is due at its wall. */
+    void releaseDue(CoreState &c);
+    /** Highest-priority job @p c may run now; -1 if none. */
+    int pick(const CoreState &c) const;
+    /** Idle @p c to its next local event, capped at @p barrier.
+     *  @return that event's time (+inf if there is none). */
+    double idleTo(CoreState &c, double barrier);
+    /** Dispatch @p next on @p c and run one slice, ending at the next
+     *  scheduling point, the quantum, or @p barrier. */
+    void step(CoreState &c, int next, double barrier);
+    /** Book @p r (a slice or a preempt drain of @p task) on @p c. */
+    void charge(CoreState &c, int task, const StepResult &r);
+    /** Record a scheduler event of @p task on @p c's trace sink. */
+    void emit(const CoreState &c, EventKind k, int task, std::uint64_t b,
+              std::uint64_t arg) const;
+    void runSerial();
+    void runConcurrent();
 
     SchedulerConfig cfg_;
     std::vector<std::unique_ptr<ManagedTask>> tasks_;
     std::vector<JobRecord> jobs_;
     ScheduleOutcome outcome_;
-    double wall_ = 0.0;
-    int onCore_ = -1;        ///< task currently dispatched (-1 = idle)
-    int lastOnCore_ = -1;    ///< last task whose context is loaded
-    MHz coreFreq_ = 0;
-    // Multi-core state (cores > 1 runs only).
+    std::vector<CoreState> cores_;
+    int jobsPerTask_ = 0;     ///< of the current run()
+    double horizon_ = 0.0;    ///< runaway guard of the current run()
+    // Shared chip state (cores > 1 only).
     std::unique_ptr<chip::ChipInterconnect> bus_;
     std::vector<int> assignment_;
-    std::vector<CoreStats> coreStats_;
 };
 
 const char *schedPolicyName(SchedPolicy p);

@@ -153,7 +153,10 @@ class SimBuilder
      * Wire everything (load memory, construct core 0's pipeline,
      * reset it for the first task, apply the frequency, attach the
      * runtime) and wrap the chip in its Sim veneer. Single-shot: the
-     * builder's program ownership moves into the Sim.
+     * builder's program ownership moves into the Sim. With cores(n > 1)
+     * core 0's complex-mode misses go over the chip bus, which routes
+     * only inside an epoch: bracket a direct run of core 0 with
+     * chip().bus().beginEpoch()/drainEpoch(), as visa-prof --cores does.
      */
     std::unique_ptr<Sim> build();
 

@@ -23,6 +23,7 @@
 
 #include "isa/assembler.hh"
 #include "sim/logging.hh"
+#include "tests/test_util.hh"
 #include "verify/progen.hh"
 #include "workloads/clab.hh"
 
@@ -42,61 +43,44 @@ class ProgramDigest
     void
     fold(const Program &p)
     {
-        u64(p.textBase);
-        u64(p.dataBase);
-        u64(p.entry);
-        u64(p.text.size());
+        h_.u64(p.textBase);
+        h_.u64(p.dataBase);
+        h_.u64(p.entry);
+        h_.u64(p.text.size());
         for (const Instruction &i : p.text) {
-            u64(static_cast<std::uint64_t>(i.op));
-            u64(i.rd);
-            u64(i.rs);
-            u64(i.rt);
-            u64(static_cast<std::uint32_t>(i.imm));
+            h_.u64(static_cast<std::uint64_t>(i.op));
+            h_.u64(i.rd);
+            h_.u64(i.rs);
+            h_.u64(i.rt);
+            h_.u64(static_cast<std::uint32_t>(i.imm));
         }
-        u64(p.words.size());
+        h_.u64(p.words.size());
         for (Word w : p.words)
-            u64(w);
-        u64(p.data.size());
-        bytes(p.data.data(), p.data.size());
-        u64(p.symbols.size());
+            h_.u64(w);
+        h_.u64(p.data.size());
+        h_.bytes(p.data.data(), p.data.size());
+        h_.u64(p.symbols.size());
         for (const auto &[name, addr] : p.symbols) {
-            u64(name.size());
-            bytes(name.data(), name.size());
-            u64(addr);
+            h_.u64(name.size());
+            h_.bytes(name.data(), name.size());
+            h_.u64(addr);
         }
-        u64(p.loopBounds.size());
+        h_.u64(p.loopBounds.size());
         for (const auto &[pc, bound] : p.loopBounds) {
-            u64(pc);
-            u64(bound);
+            h_.u64(pc);
+            h_.u64(bound);
         }
-        u64(p.subtaskStarts.size());
+        h_.u64(p.subtaskStarts.size());
         for (const auto &[pc, k] : p.subtaskStarts) {
-            u64(pc);
-            u64(static_cast<std::uint32_t>(k));
+            h_.u64(pc);
+            h_.u64(static_cast<std::uint32_t>(k));
         }
     }
 
-    std::uint64_t value() const { return h_; }
+    std::uint64_t value() const { return h_.value(); }
 
   private:
-    void
-    bytes(const void *p, std::size_t n)
-    {
-        const auto *b = static_cast<const std::uint8_t *>(p);
-        for (std::size_t i = 0; i < n; ++i)
-            h_ = (h_ ^ b[i]) * 0x100000001b3ULL;
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        std::uint8_t b[8];
-        for (int i = 0; i < 8; ++i)
-            b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-        bytes(b, 8);
-    }
-
-    std::uint64_t h_ = 0xcbf29ce484222325ULL;
+    test::Fnv1a h_;
 };
 
 /**

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -269,16 +268,13 @@ TEST(BlockCache, StatsAreByteIdenticalAcrossPools)
     for (std::size_t i = 0; i < wls.size(); ++i)
         serial[i] = runStatsArm(wls[i]);
 
-    const char *old = std::getenv("VISA_THREADS");
-    const std::string saved = old ? old : "";
-    setenv("VISA_THREADS", "4", 1);
     std::vector<std::string> pooled(wls.size());
-    parallelFor(wls.size(),
-                [&](std::size_t i) { pooled[i] = runStatsArm(wls[i]); });
-    if (old)
-        setenv("VISA_THREADS", saved.c_str(), 1);
-    else
-        unsetenv("VISA_THREADS");
+    {
+        test::ScopedThreads four("4");
+        parallelFor(wls.size(), [&](std::size_t i) {
+            pooled[i] = runStatsArm(wls[i]);
+        });
+    }
 
     for (std::size_t i = 0; i < wls.size(); ++i) {
         EXPECT_FALSE(serial[i].empty()) << names[i];

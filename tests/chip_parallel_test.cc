@@ -1,17 +1,18 @@
 /**
  * @file
  * Deterministic parallel chip execution tests: the epoch-buffered
- * multi-core engines (free-run Chip::runAll and the partitioned
- * scheduler) must produce bit-identical stats JSON and trace JSONL for
- * any VISA_THREADS setting; the paired-core detector must vote the
- * same way under the threaded dispatcher; runAll must charge only the
- * cycles the cores actually consume; and the shared --cores/--affinity
- * CLI validation must reject garbage with the offending value.
+ * multi-core engines (free-run Chip::runAll and the scheduler under
+ * both placements) must produce bit-identical stats JSON and trace
+ * JSONL for any VISA_THREADS setting; the paired-core detector must
+ * vote the same way under the threaded dispatcher; runAll must charge
+ * only the cycles the cores actually consume; and the shared
+ * --cores/--affinity CLI validation must reject garbage with the
+ * offending value.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -24,6 +25,7 @@
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
+#include "tests/test_util.hh"
 #include "verify/inject.hh"
 #include "workloads/clab.hh"
 #include "workloads/tasksets.hh"
@@ -34,33 +36,7 @@ namespace
 {
 
 using bench::makeTaskSetDefs;
-
-/** Pin VISA_THREADS for one scope; restores the prior value. */
-class ScopedThreads
-{
-  public:
-    explicit ScopedThreads(const char *value)
-    {
-        if (const char *prev = std::getenv("VISA_THREADS")) {
-            had_ = true;
-            saved_ = prev;
-        }
-        setenv("VISA_THREADS", value, 1);
-    }
-    ~ScopedThreads()
-    {
-        if (had_)
-            setenv("VISA_THREADS", saved_.c_str(), 1);
-        else
-            unsetenv("VISA_THREADS");
-    }
-    ScopedThreads(const ScopedThreads &) = delete;
-    ScopedThreads &operator=(const ScopedThreads &) = delete;
-
-  private:
-    bool had_ = false;
-    std::string saved_;
-};
+using test::ScopedThreads;
 
 /** Everything a determinism comparison needs from one run. */
 struct RunCapture
@@ -98,11 +74,11 @@ freeRunChip(int cores)
 }
 
 RunCapture
-partitionedRun(int cores)
+scheduledRun(int cores, PlacementPolicy placement)
 {
     SchedulerConfig cfg;
     cfg.cores = cores;
-    cfg.placement = PlacementPolicy::Partitioned;
+    cfg.placement = placement;
     Tracer tracer(1 << 16);
     tracer.setKindMask(Tracer::maskFor("sched"));
     MultiTaskScheduler sched(cfg);
@@ -128,20 +104,21 @@ partitionedRun(int cores)
     return cap;
 }
 
-// ---- threaded == serial, bit for bit ----
-
-TEST(ChipParallel, FreeRunBitIdenticalAcrossThreadCounts)
+/** @p run at 2 and 4 cores: VISA_THREADS 2 and 8 must reproduce the
+ *  VISA_THREADS=1 capture byte for byte. */
+void
+expectThreadInvariant(const std::function<RunCapture(int)> &run)
 {
     for (int cores : {2, 4}) {
         RunCapture ref;
         {
             ScopedThreads threads("1");
-            ref = freeRunChip(cores);
+            ref = run(cores);
         }
         EXPECT_FALSE(ref.traceJsonl.empty());
         for (const char *threads : {"2", "8"}) {
             ScopedThreads pin(threads);
-            const RunCapture cur = freeRunChip(cores);
+            const RunCapture cur = run(cores);
             EXPECT_EQ(cur.statsJson, ref.statsJson)
                 << "cores=" << cores << " threads=" << threads;
             EXPECT_EQ(cur.traceJsonl, ref.traceJsonl)
@@ -151,25 +128,28 @@ TEST(ChipParallel, FreeRunBitIdenticalAcrossThreadCounts)
     }
 }
 
+// ---- threaded == serial, bit for bit ----
+
+TEST(ChipParallel, FreeRunBitIdenticalAcrossThreadCounts)
+{
+    expectThreadInvariant(freeRunChip);
+}
+
 TEST(ChipParallel, PartitionedScheduleBitIdenticalAcrossThreadCounts)
 {
-    for (int cores : {2, 4}) {
-        RunCapture ref;
-        {
-            ScopedThreads threads("1");
-            ref = partitionedRun(cores);
-        }
-        EXPECT_FALSE(ref.traceJsonl.empty());
-        for (const char *threads : {"2", "8"}) {
-            ScopedThreads pin(threads);
-            const RunCapture cur = partitionedRun(cores);
-            EXPECT_EQ(cur.statsJson, ref.statsJson)
-                << "cores=" << cores << " threads=" << threads;
-            EXPECT_EQ(cur.traceJsonl, ref.traceJsonl)
-                << "cores=" << cores << " threads=" << threads;
-            EXPECT_EQ(cur.retired, ref.retired);
-        }
-    }
+    expectThreadInvariant([](int cores) {
+        return scheduledRun(cores, PlacementPolicy::Partitioned);
+    });
+}
+
+TEST(ChipParallel, GlobalScheduleBitIdenticalAcrossThreadCounts)
+{
+    // The serial driver never fans out, but it shares the engine and
+    // the bus epochs with the concurrent one: the worker-pool setting
+    // must stay unobservable here too.
+    expectThreadInvariant([](int cores) {
+        return scheduledRun(cores, PlacementPolicy::Global);
+    });
 }
 
 // ---- paired detector under the threaded dispatcher ----

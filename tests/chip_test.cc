@@ -2,11 +2,12 @@
  * @file
  * Multi-core chip model tests (src/chip + the scheduler's multi-core
  * engine): interconnect contention units (bank arbitration, the chip
- * MSHR pool), free-run contention through SimBuilder::cores(),
- * single-core chip equivalence with the historical rig, partitioned /
- * global EDF placement (determinism, affinity pins, cross-core
- * preemption isolation), the interference-aware admission bound, and
- * the FlexStep-style paired-core detector against the inject matrix.
+ * MSHR pool, the shared L2, epoch-only routing), free-run contention
+ * through SimBuilder::cores(), single-core chip equivalence with the
+ * plain rig, partitioned / global EDF placement (determinism, affinity
+ * pins, cross-core preemption isolation), the interference-aware
+ * admission bound, and the FlexStep-style paired-core detector against
+ * the inject matrix.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "chip/paired.hh"
 #include "core/scheduler.hh"
 #include "sim/builder.hh"
+#include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "verify/inject.hh"
 #include "workloads/clab.hh"
@@ -53,15 +55,28 @@ TEST(Chip, InterconnectBankConflictQueuesSecondRequest)
     p.mshrs = 16;
     chip::ChipInterconnect ic(2, p);
 
-    // Same wall instant, different cores, different blocks: the second
-    // request must queue behind the first's bank occupancy.
+    // Inside one epoch a core queues behind its own traffic but not
+    // behind another core's: each lane sees the epoch-frozen state plus
+    // its own requests only.
+    ic.beginEpoch();
     const Cycles d0 = ic.route(0, 0, 1000, 0x1000);
-    const Cycles d1 = ic.route(1, 0, 1000, 0x2000);
-    EXPECT_GT(d1, d0);
-    EXPECT_EQ(ic.requests(), 2u);
-    EXPECT_EQ(ic.bankConflicts(), 1u);
+    const Cycles queued = ic.route(0, 0, 1000, 0x2000);
+    const Cycles d1 = ic.route(1, 0, 1000, 0x3000);
+    EXPECT_GT(queued, d0);
+    EXPECT_EQ(d1, d0);
+    ic.drainEpoch();
+    // The drain replays all three on the one bank: two of them waited.
+    EXPECT_EQ(ic.requests(), 3u);
+    EXPECT_EQ(ic.bankConflicts(), 2u);
     EXPECT_GT(ic.bankWaitNs(), 0.0);
     EXPECT_EQ(ic.mshrStalls(), 0u);
+
+    // The next epoch's snapshot carries that occupancy: core 1 now
+    // queues behind the traffic of both cores.
+    ic.beginEpoch();
+    EXPECT_GT(ic.route(1, 0, 1000, 0x4000), queued);
+    ic.drainEpoch();
+    EXPECT_EQ(ic.bankConflicts(), 3u);
 }
 
 TEST(Chip, InterconnectMshrPoolStallsWhenFull)
@@ -71,11 +86,22 @@ TEST(Chip, InterconnectMshrPoolStallsWhenFull)
     p.mshrs = 1;    // one outstanding fill chip-wide
     chip::ChipInterconnect ic(2, p);
 
+    ic.beginEpoch();
     const Cycles d0 = ic.route(0, 0, 1000, 0x1000);
-    const Cycles d1 = ic.route(1, 0, 1000, 0x2040);
-    EXPECT_GT(d1, d0);
-    EXPECT_EQ(ic.mshrStalls(), 1u);
+    const Cycles stalled = ic.route(0, 0, 1000, 0x2040);
+    const Cycles d1 = ic.route(1, 0, 1000, 0x4080);
+    EXPECT_GT(stalled, d0);
+    EXPECT_EQ(d1, d0);
+    ic.drainEpoch();
+    EXPECT_EQ(ic.mshrStalls(), 2u);
     EXPECT_GT(ic.mshrWaitNs(), 0.0);
+    EXPECT_EQ(ic.bankConflicts(), 0u);
+
+    // Next epoch: core 1 stalls behind the chip's outstanding fills.
+    ic.beginEpoch();
+    EXPECT_GT(ic.route(1, 0, 1000, 0x60c0), stalled);
+    ic.drainEpoch();
+    EXPECT_EQ(ic.mshrStalls(), 3u);
 }
 
 TEST(Chip, InterconnectSharedL2HitsAfterFill)
@@ -83,12 +109,37 @@ TEST(Chip, InterconnectSharedL2HitsAfterFill)
     chip::ChipBusParams p;
     chip::ChipInterconnect ic(2, p);
 
-    // Core 0 fills the block; core 1 touching the same block much
-    // later must hit the *shared* L2 (cross-core reuse).
-    ic.route(0, 0, 1000, 0x3000);
-    EXPECT_EQ(ic.l2Hits(), 0u);
-    ic.route(1, 100000, 1000, 0x3000);
-    EXPECT_EQ(ic.l2Hits(), 1u);
+    // Core 0 fills the block and reuses it much later in the same
+    // epoch (its own fill hits); core 1 cannot see that fill until the
+    // epoch drains.
+    ic.beginEpoch();
+    const Cycles miss = ic.route(0, 0, 1000, 0x3000);
+    const Cycles reuse = ic.route(0, 100000, 1000, 0x3000) - 100000;
+    const Cycles early = ic.route(1, 100000, 1000, 0x3000) - 100000;
+    EXPECT_LT(reuse, miss);
+    EXPECT_EQ(early, miss);
+    ic.drainEpoch();
+    // The authoritative replay hits both reuses in the shared L2.
+    EXPECT_EQ(ic.requests(), 3u);
+    EXPECT_EQ(ic.l2Hits(), 2u);
+
+    // From the next epoch on, core 1 hits the shared L2 too
+    // (cross-core reuse).
+    ic.beginEpoch();
+    EXPECT_EQ(ic.route(1, 200000, 1000, 0x3000) - 200000, reuse);
+    ic.drainEpoch();
+    EXPECT_EQ(ic.l2Hits(), 3u);
+}
+
+TEST(Chip, InterconnectRouteOutsideEpochIsFatal)
+{
+    chip::ChipInterconnect ic(2);
+    EXPECT_THROW(ic.route(0, 0, 1000, 0x1000), FatalError);
+    ic.beginEpoch();
+    ic.route(0, 0, 1000, 0x1000);
+    ic.drainEpoch();
+    EXPECT_THROW(ic.route(1, 10, 1000, 0x2000), FatalError);
+    EXPECT_EQ(ic.requests(), 1u);
 }
 
 // ---- chip free run ----

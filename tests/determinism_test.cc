@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -222,16 +221,13 @@ TEST(Determinism, TracesAreByteIdenticalAcrossPools)
     for (std::size_t i = 0; i < wls.size(); ++i)
         serial[i] = runTracedArm(wls[i]);
 
-    const char *old = std::getenv("VISA_THREADS");
-    const std::string saved = old ? old : "";
-    setenv("VISA_THREADS", "4", 1);
     std::vector<std::string> pooled(wls.size());
-    parallelFor(wls.size(),
-                [&](std::size_t i) { pooled[i] = runTracedArm(wls[i]); });
-    if (old)
-        setenv("VISA_THREADS", saved.c_str(), 1);
-    else
-        unsetenv("VISA_THREADS");
+    {
+        test::ScopedThreads four("4");
+        parallelFor(wls.size(), [&](std::size_t i) {
+            pooled[i] = runTracedArm(wls[i]);
+        });
+    }
 
     for (std::size_t i = 0; i < wls.size(); ++i) {
         EXPECT_FALSE(serial[i].empty()) << names[i];
@@ -253,16 +249,13 @@ TEST(Determinism, PooledCampaignMatchesSerialBitExactly)
     for (std::size_t i = 0; i < wls.size(); ++i)
         serial[i] = runArm(wls[i]);
 
-    const char *old = std::getenv("VISA_THREADS");
-    const std::string saved = old ? old : "";
-    setenv("VISA_THREADS", "4", 1);
     std::vector<ArmResult> pooled(wls.size());
-    parallelFor(wls.size(),
-                [&](std::size_t i) { pooled[i] = runArm(wls[i]); });
-    if (old)
-        setenv("VISA_THREADS", saved.c_str(), 1);
-    else
-        unsetenv("VISA_THREADS");
+    {
+        test::ScopedThreads four("4");
+        parallelFor(wls.size(), [&](std::size_t i) {
+            pooled[i] = runArm(wls[i]);
+        });
+    }
 
     for (std::size_t i = 0; i < wls.size(); ++i) {
         EXPECT_EQ(pooled[i], serial[i]) << names[i];

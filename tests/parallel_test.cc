@@ -8,60 +8,33 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "sim/parallel.hh"
+#include "tests/test_util.hh"
 
 namespace visa
 {
 namespace
 {
 
-/** Scoped VISA_THREADS override, restored on destruction. */
-class ThreadsEnv
-{
-  public:
-    explicit ThreadsEnv(const char *value)
-    {
-        const char *old = std::getenv("VISA_THREADS");
-        had_ = old != nullptr;
-        if (had_)
-            saved_ = old;
-        if (value)
-            setenv("VISA_THREADS", value, 1);
-        else
-            unsetenv("VISA_THREADS");
-    }
-
-    ~ThreadsEnv()
-    {
-        if (had_)
-            setenv("VISA_THREADS", saved_.c_str(), 1);
-        else
-            unsetenv("VISA_THREADS");
-    }
-
-  private:
-    bool had_ = false;
-    std::string saved_;
-};
+using test::ScopedThreads;
 
 TEST(SimThreads, EnvOverrideAndClamp)
 {
     {
-        ThreadsEnv env("3");
+        ScopedThreads env("3");
         EXPECT_EQ(simThreads(), 3u);
     }
     {
-        ThreadsEnv env("0");    // nonsense values clamp to 1
+        ScopedThreads env("0");    // nonsense values clamp to 1
         EXPECT_EQ(simThreads(), 1u);
     }
     {
-        ThreadsEnv env(nullptr);
+        ScopedThreads env(nullptr);
         EXPECT_GE(simThreads(), 1u);
     }
 }
@@ -69,7 +42,7 @@ TEST(SimThreads, EnvOverrideAndClamp)
 TEST(ParallelFor, EveryIndexRunsExactlyOnceInOrderSlots)
 {
     for (const char *threads : {"1", "4"}) {
-        ThreadsEnv env(threads);
+        ScopedThreads env(threads);
         const std::size_t n = 100;
         std::vector<int> out(n, -1);
         std::atomic<int> calls{0};
@@ -98,7 +71,7 @@ TEST(ParallelFor, ZeroAndOneAreNoopAndInline)
 TEST(ParallelFor, LowestIndexExceptionWins)
 {
     for (const char *threads : {"1", "4"}) {
-        ThreadsEnv env(threads);
+        ScopedThreads env(threads);
         std::atomic<int> completed{0};
         try {
             parallelFor(8, [&](std::size_t i) {
@@ -125,7 +98,7 @@ TEST(ParallelFor, LowestIndexExceptionWins)
 
 TEST(ParallelFor, NestedCallsAreSafe)
 {
-    ThreadsEnv env("2");
+    ScopedThreads env("2");
     std::atomic<int> total{0};
     parallelFor(3, [&](std::size_t) {
         parallelFor(4, [&](std::size_t) { ++total; });

@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,6 +25,7 @@
 #include "sim/parallel.hh"
 #include "sim/prof/coverage.hh"
 #include "sim/prof/prof.hh"
+#include "tests/test_util.hh"
 #include "verify/progen.hh"
 #include "wcet/analyzer.hh"
 #include "workloads/clab.hh"
@@ -357,16 +357,13 @@ TEST(Prof, ProfilesAreByteIdenticalAcrossPools)
     for (std::size_t i = 0; i < wls.size(); ++i)
         serial[i] = profileArm(wls[i]);
 
-    const char *old = std::getenv("VISA_THREADS");
-    const std::string saved = old ? old : "";
-    setenv("VISA_THREADS", "4", 1);
     std::vector<std::string> pooled(wls.size());
-    parallelFor(wls.size(),
-                [&](std::size_t i) { pooled[i] = profileArm(wls[i]); });
-    if (old)
-        setenv("VISA_THREADS", saved.c_str(), 1);
-    else
-        unsetenv("VISA_THREADS");
+    {
+        test::ScopedThreads four("4");
+        parallelFor(wls.size(), [&](std::size_t i) {
+            pooled[i] = profileArm(wls[i]);
+        });
+    }
 
     for (std::size_t i = 0; i < wls.size(); ++i) {
         EXPECT_FALSE(serial[i].empty()) << names[i];

@@ -224,6 +224,27 @@ TEST(Scheduler, AdmissionRejectsOverload)
     EXPECT_NE(tight.admissionError(), "");
 }
 
+TEST(Scheduler, AdmissionRejectsPinToMissingCoreOnOneCore)
+{
+    // One core is one partition: a pin to core 1 names a core that
+    // does not exist, and is rejected exactly as on a multi-core chip.
+    SchedulerConfig cfg;
+    cfg.affinity = {-1, 1};
+    MultiTaskScheduler sched(cfg);
+    addAll(sched, trioDefs(0.85));
+    const std::string err = sched.admissionError();
+    EXPECT_NE(err.find("affinity: task 1 pinned to core 1 of a 1-core"),
+              std::string::npos)
+        << err;
+
+    // Pins to the one core that exists are admitted.
+    SchedulerConfig ok;
+    ok.affinity = {0, -1, 0};
+    MultiTaskScheduler pinned(ok);
+    addAll(pinned, trioDefs(0.85));
+    EXPECT_EQ(pinned.admissionError(), "");
+}
+
 TEST(Scheduler, StatsGroupsExportPerTaskCounters)
 {
     MultiTaskScheduler sched;

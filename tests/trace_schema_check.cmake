@@ -11,7 +11,9 @@
 #   4. visa-fuzz --inject records a fault-injection demo trace whose
 #      fault_inject / fault_detect / recovery_restart events must be
 #      present, schema-validate, and show up in the summary's fault
-#      section.
+#      section;
+#   5. a handcrafted schema-2 file must be rejected with the pointer at
+#      re-recording (schema 3 is the only readable format).
 #
 # Expects -DVISA_SIM=..., -DVISA_TRACE=..., -DVISA_FUZZ=...,
 # -DWORK_DIR=...
@@ -119,6 +121,26 @@ endif()
 if(NOT out MATCHES "fault injection / recovery")
     message(FATAL_ERROR
         "visa-trace summary is missing the fault section:\n${out}")
+endif()
+
+# ---- pre-v3 files are rejected ----
+
+set(v2_jsonl "${WORK_DIR}/schema2.jsonl")
+file(WRITE "${v2_jsonl}"
+    "{\"schema\":2}\n"
+    "{\"ev\":\"task_begin\",\"cat\":\"task\",\"cycle\":0,"
+    "\"task\":0,\"fspec_mhz\":1000,\"frec_mhz\":300,"
+    "\"deadline_s\":0.001}\n")
+execute_process(
+    COMMAND "${VISA_TRACE}" --validate "${v2_jsonl}"
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 0)
+    message(FATAL_ERROR
+        "visa-trace --validate accepted a schema-2 file:\n${out}\n${err}")
+endif()
+if(NOT err MATCHES "re-record with a current visa-sim")
+    message(FATAL_ERROR
+        "schema-2 rejection lacks the re-record pointer:\n${err}")
 endif()
 
 # The stats export must be finite (the guards turn 0/0 into 0).

@@ -2,9 +2,9 @@
 # build tree): configures the repository's "tsan" preset (-O1 -g,
 # -fsanitize=thread), builds it, and runs the suites that exercise the
 # process-wide worker pool — the multi-core chip engines
-# (Chip./ChipParallel.), the standalone pool tests (Parallel.), and a
-# differential sample — with VISA_THREADS raised so the pool really
-# spawns workers. Any data-race report aborts the inner ctest and
+# (Chip./ChipParallel.), the scheduler output pins (SchedulerPin.), the
+# standalone pool tests (Parallel.), and a differential sample — with
+# VISA_THREADS raised so the pool really spawns workers. Any data-race report aborts the inner ctest and
 # fails this test.
 #
 # Expects -DSOURCE_DIR=... (the repository root).
@@ -42,11 +42,13 @@ execute_process(
     COMMAND "${CMAKE_CTEST_COMMAND}"
             # The threaded surfaces: the chip suites (epoch-buffered
             # free run + partitioned scheduler + paired detector), the
-            # worker-pool unit tests, and the differential_nocache
-            # sample (500 programs; the full 2000-program run is too
-            # slow under TSan's ~10x overhead). "bench_gate" stays out
-            # (wall-clock thresholds are meaningless when sanitized).
-            -R "chip_suite|Chip\\.|ChipParallel\\.|Parallel\\.|differential_nocache"
+            # scheduler output pins (partitioned rows at 1 and 8
+            # threads), the worker-pool unit tests, and the
+            # differential_nocache sample (500 programs; the full
+            # 2000-program run is too slow under TSan's ~10x overhead).
+            # "bench_gate" stays out (wall-clock thresholds are
+            # meaningless when sanitized).
+            -R "chip_suite|Chip\\.|ChipParallel\\.|SchedulerPin\\.|Parallel\\.|differential_nocache"
             --output-on-failure
     WORKING_DIRECTORY "${build_dir}"
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)

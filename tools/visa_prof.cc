@@ -402,6 +402,11 @@ main(int argc, char **argv)
             // --cores N profiles core 0 of an N-core chip: the run
             // goes through the shared bus + L2, so hot blocks shift
             // with the contention model rather than the private rig.
+            // The bus routes only inside an epoch. Core 0 runs alone,
+            // so one epoch spans the run: its lane is the shared state
+            // plus its own requests, replayed in issue order at the
+            // drain (DESIGN.md §13). With one core nothing is attached
+            // to the bus and the bracket is idle.
             auto sim = SimBuilder()
                            .workload(workload)
                            .cpu(kind)
@@ -411,7 +416,9 @@ main(int argc, char **argv)
             prof::BlockProfiler profiler(sim->program());
             {
                 prof::ScopedProfiler scope(profiler);
+                sim->chip().bus().beginEpoch();
                 RunResult res = sim->cpu().run(20'000'000'000ULL);
+                sim->chip().bus().drainEpoch();
                 if (res.reason != StopReason::Halted)
                     fatal("program did not halt");
             }

@@ -20,10 +20,9 @@
  * does not know are *listed as warnings* rather than failing or being
  * skipped silently, so newer files degrade loudly but gracefully.
  *
- * Older files: schema-2 traces (pre multi-core, no per-event core
- * field) are accepted with a warning; headerless schema-1 files are
- * rejected — the v1 reader shim was removed along with the multi-core
- * schema bump.
+ * Older files — headerless schema 1, and schema 2 from before the
+ * per-event core field — are rejected with a pointer at re-recording:
+ * schema 3 is the only format visa-sim writes.
  */
 
 #include <algorithm>
@@ -108,12 +107,11 @@ const std::set<std::string> knownCounters = {
 
 /**
  * Declared version of the file being read (0 until a header is seen).
- * Schema-2+ files lead with it (a `{"schema":N}` header line in JSONL,
- * a root "schema" key in Chrome traces). Headerless files are the PR 2
- * schema-1 format, whose reader shim was removed: they are rejected
- * with a pointer at re-recording. Schema-2 files (no per-event core
- * field) are accepted with a warning; files newer than this build's
- * table are rejected rather than mis-validated.
+ * Files lead with it (a `{"schema":N}` header line in JSONL, a root
+ * "schema" key in Chrome traces). Only schema 3 is read: headerless
+ * schema-1 files and schema-2 files (no per-event core field) are
+ * rejected with a pointer at re-recording, and files newer than this
+ * build's table are rejected rather than mis-validated.
  */
 int fileSchemaVersion = 0;
 
@@ -125,14 +123,10 @@ noteSchemaVersion(double declared)
         fatal("trace declares schema %d but this build understands "
               "up to %d",
               fileSchemaVersion, traceSchemaVersion);
-    if (fileSchemaVersion < 2)
-        fatal("trace declares schema %d: schema-1 files are no longer "
-              "readable (the v1 shim was removed); re-record with a "
-              "current visa-sim",
+    if (fileSchemaVersion < 3)
+        fatal("trace declares schema %d: files older than schema 3 are "
+              "no longer readable; re-record with a current visa-sim",
               fileSchemaVersion);
-    if (fileSchemaVersion == 2)
-        schemaWarning("schema-2 trace (pre multi-core): accepted, but "
-                      "events carry no per-core 'core' field");
 }
 
 /** The v1 shim ("no header means schema 1") is gone: headerless files
@@ -224,7 +218,7 @@ loadJsonl(const std::string &text)
         }
         const JsonValue *schema = v.find("schema");
         if (schema && !v.find("ev")) {
-            // Schema-2+ header line; v1 files simply don't have one.
+            // The schema header line; v1 files simply don't have one.
             if (schema->type != JsonValue::Type::Number)
                 schemaError(lineno, "non-numeric schema version%s", "");
             else
