@@ -251,6 +251,21 @@ BM_WcetAnalyzerConstruction(benchmark::State &state)
 }
 BENCHMARK(BM_WcetAnalyzerConstruction)->Unit(benchmark::kMillisecond);
 
+/** What set-up pays per program: the 37-point table, D-miss padded. */
+void
+BM_WcetTable(benchmark::State &state)
+{
+    const Workload &wl = cachedWorkload("adpcm");
+    WcetAnalyzer an(wl.program);
+    const DvsTable dvs;
+    const DMissProfile dmiss = profileDataMisses(wl.program);
+    for (auto _ : state) {
+        WcetTable wcet(an, dvs, &dmiss);
+        benchmark::DoNotOptimize(wcet.taskCycles(dvs.maxFreq()));
+    }
+}
+BENCHMARK(BM_WcetTable)->Unit(benchmark::kMillisecond);
+
 void
 BM_FreqSpecSolver(benchmark::State &state)
 {

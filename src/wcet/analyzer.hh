@@ -9,11 +9,17 @@
  *      path through a loop body / function region is timed on the
  *      exact VisaTimer recurrence with worst-case cache outcomes and
  *      static-branch-prediction penalties on the non-predicted edge.
+ *      Blocks are lowered to per-instruction records once, at
+ *      construction, and paths are timed in DFS order from a stack of
+ *      pipeline states, each from its first step that differs from
+ *      the previous path; per frequency only timer arithmetic is left.
  *   4. Fix-point loop composition: the first iteration is timed from a
  *      drained pipeline; steady-state iterations use measured
  *      inter-iteration increments over concatenated worst paths
  *      (Healy-style pipeline overlap instead of a drain per
- *      iteration), plus a configurable per-iteration slack.
+ *      iteration), plus a configurable per-iteration slack. A scope
+ *      with more than AnalyzerParams::maxPaths paths is bounded by the
+ *      sum of its blocks' and child loops' drained times instead.
  *   5. A bottom-up timing tree over loops and functions, and per
  *      sub-task WCETs aligned with the .subtask markers.
  *
@@ -47,7 +53,8 @@ struct AnalyzerParams
     CacheParams icache{"icache", 64 * 1024, 4, 64};
     /** Worst-case memory stall time in ns (Table 1). */
     double memStallNs = 100.0;
-    /** Path-enumeration cap per scope before the drain fallback. */
+    /** Path-enumeration cap per scope; beyond it the scope is bounded
+     *  by the sum of its members' drained times. */
     std::size_t maxPaths = 4096;
     /** Cap on paths for pairwise overlap composition. */
     std::size_t maxOverlapPaths = 64;

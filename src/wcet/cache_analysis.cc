@@ -1,5 +1,7 @@
 #include "wcet/cache_analysis.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace visa
@@ -64,6 +66,15 @@ ICacheAnalysis::ICacheAnalysis(
 
     // Categorize the leading fetch of each memory block per basic
     // block; followers are always-hit.
+    Addr lo = ~0u;
+    Addr hi = 0;
+    for (const auto &bb : cfg.blocks()) {
+        lo = std::min(lo, bb.startPc);
+        hi = std::max(hi, bb.endPc);
+    }
+    catBase_ = lo;
+    cats_.resize(lo < hi ? (hi - lo) / 4 : 0);
+    catKnown_.resize(cats_.size());
     for (const auto &bb : cfg.blocks()) {
         Addr prev_block = ~0u;
         for (Addr pc = bb.startPc; pc < bb.endPc; pc += 4) {
@@ -92,7 +103,8 @@ ICacheAnalysis::ICacheAnalysis(
                     }
                 }
             }
-            cats_[pc] = cat;
+            cats_[(pc - lo) / 4] = cat;
+            catKnown_[(pc - lo) / 4] = true;
             prev_block = b;
         }
     }
@@ -101,10 +113,10 @@ ICacheAnalysis::ICacheAnalysis(
 const InstrCategory &
 ICacheAnalysis::at(Addr pc) const
 {
-    auto it = cats_.find(pc);
-    if (it == cats_.end())
+    const std::size_t i = (pc - catBase_) / 4;
+    if (pc < catBase_ || pc % 4 || i >= cats_.size() || !catKnown_[i])
         panic("icache analysis: no categorization for 0x%x", pc);
-    return it->second;
+    return cats_[i];
 }
 
 const std::set<Addr> &

@@ -25,6 +25,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "mem/cache.hh"
 #include "wcet/cfg.hh"
@@ -93,7 +94,11 @@ class ICacheAnalysis
     Addr blockBytes_;
     std::uint32_t numSets_;
     std::uint32_t assoc_;
-    std::map<Addr, InstrCategory> cats_;
+    /** Categories by (pc - catBase_) / 4 over the function's span;
+     *  catKnown_ marks the words that belong to one of its blocks. */
+    Addr catBase_ = 0;
+    std::vector<InstrCategory> cats_;
+    std::vector<bool> catKnown_;
     std::map<int, std::set<Addr>> fmBlocks_;
     std::set<Addr> footprint_;
     std::set<Addr> emptySet_;

@@ -1,8 +1,9 @@
 # Sanitizer tier (`ctest -C san -L san` from a configured build tree):
 # configures the repository's "debug" preset (-O0 -g, ASan + UBSan),
 # builds it, and runs the differential fuzzing suite, the end-to-end
-# trace pipeline and the assembler suites (its hand-written lexer and
-# literal parser) under the sanitizers. Any sanitizer report aborts the
+# trace pipeline, the assembler suites (its hand-written lexer and
+# literal parser) and the WCET analyzer suites (its pc-indexed tables,
+# packed records and state stack) under the sanitizers. Any sanitizer report aborts the
 # inner ctest and fails this test.
 #
 # Expects -DSOURCE_DIR=... (the repository root).
@@ -41,8 +42,10 @@ execute_process(
             # per-cycle reference; "bench_gate" stays out (wall-clock
             # thresholds are meaningless on a sanitized build).
             # "Assembler" also matches AssemblerErrors, AssemblerPin,
-            # AssemblerDirectives and Disassembler.
-            -R "Differential|differential|Lockstep|Progen|Oracle|Corpus|Scheduler|trace_schema|prof_suite|Prof\\.|inject_suite|Inject\\.|chip_suite|Chip\\.|Assembler"
+            # AssemblerDirectives and Disassembler; "Wcet" matches
+            # WcetPin, WcetRobustness, WcetSoundness and the other
+            # analyzer suites.
+            -R "Differential|differential|Lockstep|Progen|Oracle|Corpus|Scheduler|trace_schema|prof_suite|Prof\\.|inject_suite|Inject\\.|chip_suite|Chip\\.|Assembler|Wcet|ICacheCat|CfgTest"
             --output-on-failure
     WORKING_DIRECTORY "${build_dir}"
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)

@@ -117,6 +117,45 @@ TEST(WcetRobustness, PathExplosionFallsBackSoundly)
     EXPECT_GE(rep.taskCycles, m.cpu->cycles());
 }
 
+TEST(WcetRobustness, PathCapOverflowBoundsEveryPath)
+{
+    // 13 diamonds = 8192 paths > the 4096 cap. Enumeration takes each
+    // branch's taken (short) arm first, so every path it can keep skips
+    // the 200 muls on the first diamond's fall-through arm; with
+    // r9 = -1 every branch falls through and the run pays for them. A
+    // bound over only the kept paths falls ~1000 cycles short.
+    std::string src;
+    for (int i = 0; i < 13; ++i) {
+        std::string t = std::to_string(i);
+        src += "        andi r2, r9, " + std::to_string(1 << (i % 10)) +
+               "\n";
+        src += "        beq r2, r0, e" + t + "\n";
+        src += "        add r5, r5, r6\n";
+        if (i == 0)
+            for (int k = 0; k < 200; ++k)
+                src += "        mul r7, r7, r6\n";
+        src += "        j j" + t + "\n";
+        src += "e" + t + ":  sub r5, r5, r6\n";
+        src += "j" + t + ":  nop\n";
+    }
+    src += "        halt\n";
+    Program p = assemble(src);
+    WcetAnalyzer capped(p);
+    AnalyzerParams wide;
+    wide.maxPaths = 16384;
+    WcetAnalyzer every(p, wide);
+    for (MHz f : {100u, 1000u}) {
+        SimpleMachine m(src);
+        m.cpu->setFrequency(f);
+        m.cpu->arch().writeInt(9, 0xFFFFFFFFu);
+        ASSERT_EQ(m.run().reason, StopReason::Halted);
+        const Cycles bound = capped.analyze(f).taskCycles;
+        EXPECT_GE(bound, m.cpu->cycles()) << f << " MHz";
+        // It also covers the worst path full enumeration finds.
+        EXPECT_GE(bound, every.analyze(f).taskCycles) << f << " MHz";
+    }
+}
+
 TEST(WcetRobustness, LoopBoundIsPerEntry)
 {
     // The inner loop runs its full bound on every outer iteration:
