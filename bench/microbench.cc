@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks of the infrastructure itself:
  * assembler throughput, raw MainMemory access, simulator speed of both
  * pipelines (per simulated instruction/cycle), the VisaTimer
- * recurrence, the WCET analyzer, and the frequency-speculation solver.
+ * recurrence, the WCET analyzer, and the frequency-speculation solver
+ * (an early-exit solve, a full infeasible scan and set-up's bisection).
  */
 
 #include <benchmark/benchmark.h>
@@ -11,6 +12,7 @@
 #include "bench/bench_util.hh"
 #include "cpu/visa_timing.hh"
 #include "isa/assembler.hh"
+#include "verify/progen.hh"
 
 using namespace visa;
 using namespace visa::bench;
@@ -284,6 +286,55 @@ BM_FreqSpecSolver(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FreqSpecSolver);
+
+/** Worst case: a deadline no pair meets, so all 703 pairs are tried. */
+void
+BM_FreqSpecSolverInfeasible(benchmark::State &state)
+{
+    const Workload &wl = cachedWorkload("lms");
+    WcetAnalyzer an(wl.program);
+    DvsTable dvs;
+    DMissProfile dmiss = profileDataMisses(wl.program);
+    WcetTable wcet(an, dvs, &dmiss);
+    PetEstimator pets(wl.numSubtasks, PetPolicy{});
+    pets.seed(profileComplexAets(wl.program, wl.numSubtasks));
+    double deadline = 0.5 * wcet.taskSeconds(dvs.maxFreq());
+    for (auto _ : state) {
+        FreqPair p = solveVisaSpeculation(wcet, pets, dvs, deadline,
+                                          2e-6, 1000);
+        benchmark::DoNotOptimize(p.feasible);
+    }
+}
+BENCHMARK(BM_FreqSpecSolverInfeasible);
+
+/**
+ * What set-up pays per analysed program for its deadline: the 48-step
+ * EQ 4 bisection, on the 2-sub-task instrumented Memory-profile
+ * generated program shape the fuzz campaign analyses.
+ */
+void
+BM_FreqSpecBisection(benchmark::State &state)
+{
+    verify::GenParams params;
+    params.profile = verify::GenProfile::Memory;
+    params.instrument = true;
+    params.allowCalls = false;
+    const verify::GeneratedProgram g = verify::generate(1, params);
+    WcetAnalyzer an(g.program);
+    DvsTable dvs;
+    DMissProfile dmiss = profileDataMisses(g.program);
+    WcetTable wcet(an, dvs, &dmiss);
+    RuntimeConfig cfg;
+    cfg.ovhdSeconds = 2e-6;
+    cfg.dvsSoftwareCycles = 500;
+    cfg.drainBudgetCycles = 512;
+    const std::vector<std::uint64_t> pet_seed =
+        profileComplexAets(g.program, params.subtasks);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            minGuaranteeableDeadline(wcet, dvs, pet_seed, cfg));
+}
+BENCHMARK(BM_FreqSpecBisection);
 
 } // anonymous namespace
 

@@ -1,60 +1,83 @@
 #include "core/freq_spec.hh"
 
+#include <vector>
+
 namespace visa
 {
 
 namespace
 {
 
-/** Check EQ 4 for every misprediction point. */
-bool
-visaFeasible(const WcetTable &wcet, const PetEstimator &pet,
-             MHz f_spec, MHz f_rec, double deadline_s, double ovhd_s,
-             Cycles extra_cycles)
+/** The misprediction bound a scan checks. */
+enum class Bound
 {
-    const int s = wcet.numSubtasks();
-    double pet_prefix =
-        static_cast<double>(extra_cycles) / (f_spec * 1e6);
-    for (int i = 0; i < s; ++i) {
-        pet_prefix += pet.petSeconds(i, f_spec);
-        double total =
-            pet_prefix + ovhd_s + wcet.remainingSeconds(i, f_rec);
-        if (total > deadline_s)
-            return false;
-    }
-    return true;
-}
+    Visa,            ///< EQ 4, optionally with a restore term
+    Conventional,    ///< EQ 2
+};
 
-/** Check EQ 2 for every misprediction point. */
-bool
-conventionalFeasible(const WcetTable &wcet, const PetEstimator &pet,
-                     MHz f_spec, MHz f_rec, double deadline_s,
-                     double ovhd_s, Cycles extra_cycles)
-{
-    const int s = wcet.numSubtasks();
-    double pet_prefix =
-        static_cast<double>(extra_cycles) / (f_spec * 1e6);
-    for (int i = 0; i < s; ++i) {
-        double total = pet_prefix + wcet.subtaskSeconds(i, f_spec) +
-                       ovhd_s + wcet.remainingSeconds(i + 1, f_rec);
-        if (total > deadline_s)
-            return false;
-        pet_prefix += pet.petSeconds(i, f_spec);
-    }
-    // Also require the fully-speculative schedule itself to fit.
-    return pet_prefix <= deadline_s;
-}
-
-template <typename Feasible>
+/**
+ * The one pair scan behind every speculation solver: the lowest
+ * f_spec, then the lowest f_rec >= f_spec, such that every
+ * misprediction point i meets the deadline,
+ *
+ *   (head_i(f_spec) + ovhd(f_rec)) + tail_i(f_rec) <= deadline.
+ *
+ * EQ 4: head_i = extra + sum_{j<=i} PET_j and tail_i = remaining(i).
+ * EQ 2: head_i = (extra + sum_{j<i} PET_j) + WCET_i and tail_i =
+ * remaining(i + 1), and the whole PET schedule must fit as well.
+ * Restart recovery adds its restore cost at f_rec to ovhd. Each
+ * f_spec's heads are summed once rather than once per pair, but every
+ * total keeps the operands and order shown above, so sharing them
+ * changes no decision (FreqSpecPin pins the pairs bit for bit). No
+ * monotonicity in f is assumed: remaining time can rise with f.
+ */
 FreqPair
-lowestPair(const DvsTable &dvs, Feasible feasible)
+lowestPair(const WcetTable &wcet, const PetEstimator &pet,
+           const DvsTable &dvs, double deadline_s, double ovhd_s,
+           Cycles extra_cycles, Cycles restore_cycles, Bound bound)
 {
-    for (const auto &spec : dvs.settings()) {
-        for (const auto &rec : dvs.settings()) {
-            if (rec.freq < spec.freq)
+    const auto &settings = dvs.settings();
+    const int s = wcet.numSubtasks();
+    std::vector<const double *> tails;
+    tails.reserve(settings.size());
+    for (const DvsSetting &st : settings)
+        tails.push_back(wcet.remainingRow(wcet.rowOf(st.freq)).data() +
+                        (bound == Bound::Conventional ? 1 : 0));
+    std::vector<double> head(static_cast<std::size_t>(s));
+    for (const DvsSetting &spec : settings) {
+        const MHz fs = spec.freq;
+        double prefix = static_cast<double>(extra_cycles) / (fs * 1e6);
+        for (int i = 0; i < s; ++i) {
+            double &h = head[static_cast<std::size_t>(i)];
+            if (bound == Bound::Visa) {
+                prefix += pet.petSeconds(i, fs);
+                h = prefix;
+            } else {
+                h = prefix + wcet.subtaskSeconds(i, fs);
+                prefix += pet.petSeconds(i, fs);
+            }
+        }
+        // EQ 2 also requires the fully speculative schedule to fit,
+        // whatever f_rec is.
+        if (bound == Bound::Conventional && !(prefix <= deadline_s))
+            continue;
+        for (std::size_t b = 0; b < settings.size(); ++b) {
+            const MHz fr = settings[b].freq;
+            if (fr < fs)
                 continue;
-            if (feasible(spec.freq, rec.freq))
-                return {true, spec.freq, rec.freq};
+            // A zero restore adds exactly 0.0: skip its division.
+            const double ovhd =
+                restore_cycles == 0
+                    ? ovhd_s
+                    : ovhd_s + static_cast<double>(restore_cycles) /
+                                   (fr * 1e6);
+            const double *tail = tails[b];
+            std::size_t i = 0;
+            while (i < head.size() &&
+                   !(head[i] + ovhd + tail[i] > deadline_s))
+                ++i;
+            if (i == head.size())
+                return {true, fs, fr};
         }
     }
     return {};
@@ -67,10 +90,8 @@ solveVisaSpeculation(const WcetTable &wcet, const PetEstimator &pet,
                      const DvsTable &dvs, double deadline_s,
                      double ovhd_s, Cycles overhead_cycles_at_fspec)
 {
-    return lowestPair(dvs, [&](MHz fs, MHz fr) {
-        return visaFeasible(wcet, pet, fs, fr, deadline_s, ovhd_s,
-                            overhead_cycles_at_fspec);
-    });
+    return lowestPair(wcet, pet, dvs, deadline_s, ovhd_s,
+                      overhead_cycles_at_fspec, 0, Bound::Visa);
 }
 
 FreqPair
@@ -82,13 +103,9 @@ solveRestartSpeculation(const WcetTable &wcet, const PetEstimator &pet,
     // EQ 4 with the snapshot-restore overhead folded into the fixed
     // per-recovery term: restore runs at f_rec, so its wall-clock cost
     // depends on the candidate pair and cannot be pre-added to ovhd_s.
-    return lowestPair(dvs, [&](MHz fs, MHz fr) {
-        const double restore_s =
-            static_cast<double>(restore_cycles) / (fr * 1e6);
-        return visaFeasible(wcet, pet, fs, fr, deadline_s,
-                            ovhd_s + restore_s,
-                            overhead_cycles_at_fspec);
-    });
+    return lowestPair(wcet, pet, dvs, deadline_s, ovhd_s,
+                      overhead_cycles_at_fspec, restore_cycles,
+                      Bound::Visa);
 }
 
 FreqPair
@@ -98,10 +115,8 @@ solveConventionalSpeculation(const WcetTable &wcet,
                              double ovhd_s,
                              Cycles overhead_cycles_at_fspec)
 {
-    return lowestPair(dvs, [&](MHz fs, MHz fr) {
-        return conventionalFeasible(wcet, pet, fs, fr, deadline_s,
-                                    ovhd_s, overhead_cycles_at_fspec);
-    });
+    return lowestPair(wcet, pet, dvs, deadline_s, ovhd_s,
+                      overhead_cycles_at_fspec, 0, Bound::Conventional);
 }
 
 MHz

@@ -4,12 +4,18 @@
  * stalls are specified in nanoseconds, so the cycle-level WCET differs
  * per DVS setting (paper §2.1: "there is a different WCET for each
  * frequency setting"); this table precomputes all of them.
+ *
+ * The table is dense: one row per DVS setting, in the order of the
+ * DvsTable it was built from, holding the sub-task cycles, the task
+ * total and every remainingSeconds() value, so the EQ 1-4 arithmetic
+ * reads its WCET terms instead of re-summing them (DESIGN.md §6).
  */
 
 #ifndef VISA_CORE_WCET_TABLE_HH
 #define VISA_CORE_WCET_TABLE_HH
 
-#include <map>
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "power/dvs.hh"
@@ -42,7 +48,7 @@ class WcetTable
     }
 
     /** Whole-task WCET in cycles at @p f (sum over sub-tasks). */
-    Cycles taskCycles(MHz f) const;
+    Cycles taskCycles(MHz f) const { return taskCycles_[rowOf(f)]; }
 
     /** Whole-task WCET in seconds at @p f. */
     double
@@ -51,14 +57,33 @@ class WcetTable
         return static_cast<double>(taskCycles(f)) / (f * 1e6);
     }
 
-    /** Sum of sub-task WCET seconds for sub-tasks k..s-1 at @p f. */
+    /**
+     * Sum of sub-task WCET seconds for sub-tasks k..S-1 at @p f, for
+     * k in [0, S]; k = S is the empty tail (0). Any other k is a
+     * FatalError.
+     */
     double remainingSeconds(int k, MHz f) const;
 
-  private:
-    const std::vector<Cycles> &row(MHz f) const;
+    /** Row index of operating point @p f; FatalError if @p f has none. */
+    std::size_t rowOf(MHz f) const;
 
+    /** Row @p r's remainingSeconds(k, f) for k in [0, S], S + 1 entries. */
+    std::span<const double>
+    remainingRow(std::size_t r) const
+    {
+        const auto s = static_cast<std::size_t>(numSubtasks_) + 1;
+        return {remaining_.data() + r * s, s};
+    }
+
+  private:
     int numSubtasks_ = 0;
-    std::map<MHz, std::vector<Cycles>> table_;
+    /** Row r's operating point, in the DvsTable's (ascending) order. */
+    std::vector<MHz> freqs_;
+    std::vector<Cycles> taskCycles_;
+    /** Row-major: S sub-task WCETs per row. */
+    std::vector<Cycles> cycles_;
+    /** Row-major: S + 1 remaining times per row. */
+    std::vector<double> remaining_;
 };
 
 } // namespace visa

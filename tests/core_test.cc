@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/checkpoints.hh"
 #include "core/freq_spec.hh"
@@ -128,6 +129,24 @@ TEST_F(CoreFixture, RemainingSecondsSuffixSums)
     EXPECT_NEAR(wcet_.remainingSeconds(2, 500),
                 wcet_.subtaskSeconds(2, 500), 1e-12);
     EXPECT_LT(wcet_.remainingSeconds(1, 500), whole);
+}
+
+TEST_F(CoreFixture, RemainingSecondsRejectsBadIndex)
+{
+    // k = S is EQ 2's empty tail; anything outside [0, S] is a caller
+    // bug, not a zero-length remainder.
+    EXPECT_EQ(wcet_.remainingSeconds(3, 500), 0.0);
+    for (int k : {-1, 4}) {
+        try {
+            wcet_.remainingSeconds(k, 500);
+            ADD_FAILURE() << "k = " << k << " was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(std::to_string(k)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_THROW(wcet_.remainingSeconds(0, 999), FatalError);
 }
 
 // ---- Checkpoints (EQ 1) ----

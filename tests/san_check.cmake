@@ -2,9 +2,10 @@
 # configures the repository's "debug" preset (-O0 -g, ASan + UBSan),
 # builds it, and runs the differential fuzzing suite, the end-to-end
 # trace pipeline, the assembler suites (its hand-written lexer and
-# literal parser) and the WCET analyzer suites (its pc-indexed tables,
-# packed records and state stack) under the sanitizers. Any sanitizer report aborts the
-# inner ctest and fails this test.
+# literal parser), the WCET analyzer suites (its pc-indexed tables,
+# packed records and state stack) and the WCET table and frequency
+# solver suites (the table's row-major spans) under the sanitizers.
+# Any sanitizer report aborts the inner ctest and fails this test.
 #
 # Expects -DSOURCE_DIR=... (the repository root).
 
@@ -44,8 +45,10 @@ execute_process(
             # "Assembler" also matches AssemblerErrors, AssemblerPin,
             # AssemblerDirectives and Disassembler; "Wcet" matches
             # WcetPin, WcetRobustness, WcetSoundness and the other
-            # analyzer suites.
-            -R "Differential|differential|Lockstep|Progen|Oracle|Corpus|Scheduler|trace_schema|prof_suite|Prof\\.|inject_suite|Inject\\.|chip_suite|Chip\\.|Assembler|Wcet|ICacheCat|CfgTest"
+            # analyzer suites. "FreqSpec" matches FreqSpecPin (the EQ 2/
+            # EQ 4 solvers over the dense WCET table's rows) and
+            # "CoreFixture" the WCET table, EQ 1 and solver unit tests.
+            -R "Differential|differential|Lockstep|Progen|Oracle|Corpus|Scheduler|trace_schema|prof_suite|Prof\\.|inject_suite|Inject\\.|chip_suite|Chip\\.|Assembler|Wcet|ICacheCat|CfgTest|FreqSpec|CoreFixture"
             --output-on-failure
     WORKING_DIRECTORY "${build_dir}"
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
