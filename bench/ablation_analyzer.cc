@@ -43,7 +43,7 @@ main()
     for (const auto &name : allWorkloadNames()) {
         Workload wl = makeWorkload(name);
         DMissProfile dmiss = profileDataMisses(wl.program);
-        Rig<SimpleCpu> rig(wl.program);
+        bench::Rig<SimpleCpu> rig(wl.program);
         rig.cpu->run(20'000'000'000ULL);
         Cycles actual = rig.cpu->cycles();
 

@@ -36,7 +36,7 @@ PolicyResult
 runPolicy(const ExperimentSetup &setup, double deadline,
           const PetPolicy &policy, int tasks, int induce_every)
 {
-    Rig<OooCpu> rig(setup.wl.program);
+    bench::Rig<OooCpu> rig(setup.wl.program);
     RuntimeConfig cfg = setup.runtimeConfig(deadline);
     cfg.petPolicy = policy;
     VisaComplexRuntime rt(*rig.cpu, setup.wl.program, rig.mem,
@@ -108,7 +108,7 @@ main()
         };
         double dl = base.tightDeadline + (ovhd_us - 2.0) * 1e-6;
 
-        Rig<OooCpu> crig(base.wl.program);
+        bench::Rig<OooCpu> crig(base.wl.program);
         VisaComplexRuntime crt(*crig.cpu, base.wl.program, crig.mem,
                                *base.wcet, base.dvs, cfg_of(dl));
         crt.pets().seed(profileComplexAets(base.wl.program,
@@ -117,7 +117,7 @@ main()
                           ClockGating::Perfect);
         crt.attachMeter(&cmeter);
 
-        Rig<SimpleCpu> srig(base.wl.program);
+        bench::Rig<SimpleCpu> srig(base.wl.program);
         SimpleFixedRuntime srt(*srig.cpu, base.wl.program, srig.mem,
                                *base.wcet, base.dvs, cfg_of(dl));
         PowerMeter smeter(*srig.cpu, simpleFixedEnergyModel(),

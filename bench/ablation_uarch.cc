@@ -68,7 +68,7 @@ main()
 
     for (const auto &name : clabNames()) {
         Workload wl = makeWorkload(name);
-        Rig<SimpleCpu> simple(wl.program);
+        bench::Rig<SimpleCpu> simple(wl.program);
         simple.cpu->run(20'000'000'000ULL);
         std::printf("%-9s", name.c_str());
         for (const auto &c : configs()) {

@@ -2,9 +2,10 @@
  * @file
  * google-benchmark microbenchmarks of the infrastructure itself:
  * assembler throughput, raw MainMemory access, simulator speed of both
- * pipelines (per simulated instruction/cycle), the VisaTimer
- * recurrence, the WCET analyzer, and the frequency-speculation solver
- * (an early-exit solve, a full infeasible scan and set-up's bisection).
+ * pipelines (per simulated instruction/cycle), machine construction
+ * (a bare rig and SimBuilder's Sim), the VisaTimer recurrence, the
+ * WCET analyzer, and the frequency-speculation solver (an early-exit
+ * solve, a full infeasible scan and set-up's bisection).
  */
 
 #include <benchmark/benchmark.h>
@@ -196,7 +197,7 @@ BM_SimpleCpuRun(benchmark::State &state)
     const Workload &wl = cachedWorkload("mm");
     std::int64_t insts = 0;
     for (auto _ : state) {
-        Rig<SimpleCpu> rig(wl.program);
+        bench::Rig<SimpleCpu> rig(wl.program);
         rig.cpu->run(20'000'000'000ULL);
         insts += static_cast<std::int64_t>(rig.cpu->retired());
         benchmark::DoNotOptimize(rig.cpu->cycles());
@@ -210,7 +211,7 @@ BM_OooCpuRun(benchmark::State &state)
 {
     const Workload &wl = cachedWorkload("mm");
     for (auto _ : state) {
-        Rig<OooCpu> rig(wl.program);
+        bench::Rig<OooCpu> rig(wl.program);
         rig.cpu->run(20'000'000'000ULL);
         benchmark::DoNotOptimize(rig.cpu->cycles());
     }
@@ -222,13 +223,48 @@ BM_OooCpuSimpleMode(benchmark::State &state)
 {
     const Workload &wl = cachedWorkload("mm");
     for (auto _ : state) {
-        Rig<OooCpu> rig(wl.program);
+        bench::Rig<OooCpu> rig(wl.program);
         rig.cpu->switchToSimple();
         rig.cpu->run(20'000'000'000ULL);
         benchmark::DoNotOptimize(rig.cpu->cycles());
     }
 }
 BENCHMARK(BM_OooCpuSimpleMode)->Unit(benchmark::kMillisecond);
+
+// ---- machine construction ----
+
+/** One rig around mm: image load, pipeline construction and reset. */
+template <typename CpuT>
+void
+BM_RigBuild(benchmark::State &state)
+{
+    const Workload &wl = cachedWorkload("mm");
+    for (auto _ : state) {
+        visa::Rig rig(wl.program);
+        benchmark::DoNotOptimize(&rig.build<CpuT>());
+    }
+}
+BENCHMARK_TEMPLATE(BM_RigBuild, SimpleCpu)->Unit(benchmark::kMicrosecond);
+BENCHMARK_TEMPLATE(BM_RigBuild, OooCpu)->Unit(benchmark::kMicrosecond);
+
+/** The same machine through SimBuilder's single-core Sim. */
+template <typename CpuT>
+void
+BM_SimBuild(benchmark::State &state)
+{
+    const Workload &wl = cachedWorkload("mm");
+    for (auto _ : state) {
+        auto sim = SimBuilder()
+                       .program(wl.program)
+                       .cpu(std::is_same_v<CpuT, SimpleCpu>
+                                ? CpuKind::Simple
+                                : CpuKind::Complex)
+                       .build();
+        benchmark::DoNotOptimize(sim.get());
+    }
+}
+BENCHMARK_TEMPLATE(BM_SimBuild, SimpleCpu)->Unit(benchmark::kMicrosecond);
+BENCHMARK_TEMPLATE(BM_SimBuild, OooCpu)->Unit(benchmark::kMicrosecond);
 
 void
 BM_WcetAnalyze(benchmark::State &state)

@@ -31,9 +31,9 @@ row(const std::string &name)
     const ExperimentSetup &setup = cachedSetup(name);
     const Program &prog = setup.wl.program;
 
-    Rig<SimpleCpu> simple(prog);
+    bench::Rig<SimpleCpu> simple(prog);
     simple.cpu->run(20'000'000'000ULL);
-    Rig<OooCpu> complex_rig(prog);
+    bench::Rig<OooCpu> complex_rig(prog);
     complex_rig.cpu->run(20'000'000'000ULL);
 
     const double wcet_us =

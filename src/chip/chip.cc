@@ -11,70 +11,19 @@ namespace visa
 namespace chip
 {
 
-ChipCore::ChipCore(Chip &chip, int id)
-    : chip_(chip), id_(id), memctrl_(chip.cfg_.memctrl)
+Chip::Chip(const Program &prog, int cores)
+    : prog_(prog), bus_(cores < 1 ? 1 : cores)
 {
-    if (chip.cfg_.cores > 1) {
-        memctrl_.attachBus(&chip.bus_, id);
-        // SPMD replica (see the file comment): every core of a
-        // multi-core chip free-runs its own image of the program, so
-        // concurrent core threads never touch shared functional state.
-        privMem_ = std::make_unique<MainMemory>();
-        privMem_->loadProgram(chip.prog_);
+    if (cores < 1)
+        fatal("Chip: need at least one core (got %d)", cores);
+    cores_.reserve(static_cast<std::size_t>(cores));
+    for (int i = 0; i < cores; ++i) {
+        cores_.push_back(std::make_unique<Rig>(prog));
+        // One core has nothing to contend with and keeps the static
+        // memory penalty of a plain rig.
+        if (cores > 1)
+            cores_.back()->memctrl().attachBus(&bus_, i);
     }
-}
-
-MainMemory &
-ChipCore::mem()
-{
-    return privMem_ ? *privMem_ : chip_.mem_;
-}
-
-OooCpu &
-ChipCore::makeOoo()
-{
-    if (ooo_)
-        fatal("ChipCore %d: complex pipeline already built", id_);
-    ooo_ = std::make_unique<OooCpu>(chip_.prog_, mem(), platform_,
-                                    memctrl_);
-    return *ooo_;
-}
-
-SimpleCpu &
-ChipCore::makeSimple()
-{
-    if (simple_)
-        fatal("ChipCore %d: simple pipeline already built", id_);
-    simple_ = std::make_unique<SimpleCpu>(chip_.prog_, mem(), platform_,
-                                          memctrl_);
-    return *simple_;
-}
-
-OooCpu &
-ChipCore::ooo()
-{
-    if (!ooo_)
-        makeOoo().resetForTask();
-    return *ooo_;
-}
-
-SimpleCpu &
-ChipCore::simple()
-{
-    if (!simple_)
-        makeSimple().resetForTask();
-    return *simple_;
-}
-
-Chip::Chip(const Program &prog, const ChipConfig &cfg)
-    : prog_(prog), cfg_(cfg), bus_(cfg.cores < 1 ? 1 : cfg.cores, cfg.bus)
-{
-    if (cfg.cores < 1)
-        fatal("Chip: need at least one core (got %d)", cfg.cores);
-    mem_.loadProgram(prog);
-    cores_.reserve(static_cast<std::size_t>(cfg.cores));
-    for (int i = 0; i < cfg.cores; ++i)
-        cores_.emplace_back(new ChipCore(*this, i));
 }
 
 Chip::~Chip() = default;
@@ -86,38 +35,11 @@ Chip::runAll(Cycles maxCycles, Cycles window)
         window = 1;
     RunAllResult res;
 
-    if (cores_.size() == 1) {
-        // The historical single-core fast path: one pipeline, no
-        // epochs, no per-core trace rings (events flow straight into
-        // the caller's tracer, unstamped — byte-compatible with the
-        // pre-chip rig).
-        OooCpu &cpu = core(0).ooo();
-        Cycles spent = 0;
-        bool halted = false;
-        while (!halted && spent < maxCycles) {
-            const Cycles budget =
-                std::min<Cycles>(window, maxCycles - spent);
-            const Cycles before = cpu.cycles();
-            halted = cpu.run(budget).reason == StopReason::Halted;
-            // Charge what actually ran: a mid-window halt must not
-            // burn the rest of the window's budget.
-            spent += std::min<Cycles>(budget, cpu.cycles() - before);
-        }
-        res.allHalted = halted;
-        res.retired = cpu.retired();
-        return res;
-    }
-
-    // Multi-core: build every core up front (construction is not
-    // thread-safe), then free-run them in window-cycle quanta over the
-    // worker pool with the bus in epoch-buffered mode. Within a
-    // quantum each core sees only the epoch-frozen bus snapshot plus
-    // its own requests, so the interleaving of host threads is
-    // unobservable; the barrier drain orders all requests by
-    // (ns, core id).
-    for (std::size_t i = 0; i < cores_.size(); ++i)
-        core(static_cast<int>(i)).ooo();
-
+    // Free-run the cores in window-cycle quanta over the worker pool
+    // with the bus in epoch-buffered mode. Within a quantum each core
+    // sees only the epoch-frozen bus snapshot plus its own requests,
+    // so the interleaving of host threads is unobservable; the barrier
+    // drain orders all requests by (ns, core id).
     Tracer *const tr = currentTracer();
     std::vector<Tracer> rings;
     if (tr) {
@@ -139,7 +61,7 @@ Chip::runAll(Cycles maxCycles, Cycles window)
         std::vector<char> halted(live.size(), 0);
         bus_.beginEpoch();
         parallelFor(live.size(), [&](std::size_t k) {
-            OooCpu &cpu = core(static_cast<int>(live[k])).ooo();
+            Cpu &cpu = core(static_cast<int>(live[k])).cpu();
             Tracer *const ring = tr ? &rings[live[k]] : nullptr;
             Tracer *const prev = ring ? installTracer(ring) : nullptr;
             const Cycles before = cpu.cycles();
@@ -152,8 +74,8 @@ Chip::runAll(Cycles maxCycles, Cycles window)
         if (tr)
             Tracer::mergeInto(*tr, rings);
         // Charge the longest actual run: when every live core halts
-        // mid-window this is less than the budget (the satellite fix);
-        // when any core ran out of budget it equals the budget.
+        // mid-window this is less than the budget; when any core ran
+        // out of budget it equals the budget.
         Cycles maxUsed = 0;
         for (std::size_t k = 0; k < live.size(); ++k)
             maxUsed = std::max(maxUsed, used[k]);
@@ -168,9 +90,17 @@ Chip::runAll(Cycles maxCycles, Cycles window)
     }
     res.allHalted = live.empty();
     for (const auto &c : cores_)
-        if (c->hasOoo())
-            res.retired += c->ooo_->retired();
+        res.retired += c->cpu().retired();
     return res;
+}
+
+RunResult
+Chip::runAlone(int i, Cycles maxCycles)
+{
+    bus_.beginEpoch();
+    const RunResult r = core(i).cpu().run(maxCycles);
+    bus_.drainEpoch();
+    return r;
 }
 
 void

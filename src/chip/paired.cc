@@ -1,13 +1,9 @@
 #include "chip/paired.hh"
 
-#include <cstdarg>
-#include <cstdio>
 #include <cstring>
-#include <memory>
 #include <vector>
 
-#include "cpu/ooo_cpu.hh"
-#include "cpu/simple_cpu.hh"
+#include "cpu/rig.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
 #include "sim/trace.hh"
@@ -19,17 +15,6 @@ namespace chip
 namespace
 {
 
-void
-appendf(std::string &out, const char *fmt, ...)
-{
-    char buf[256];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    out += buf;
-}
-
 std::uint64_t
 fpBits(double d)
 {
@@ -37,23 +22,6 @@ fpBits(double d)
     std::memcpy(&bits, &d, sizeof(bits));
     return bits;
 }
-
-/** One side of the pair: a private rig around one pipeline. */
-template <typename CpuT>
-struct CoreRig
-{
-    MainMemory mem;
-    Platform platform;
-    MemController memctrl;
-    std::unique_ptr<CpuT> cpu;
-
-    explicit CoreRig(const Program &prog)
-    {
-        mem.loadProgram(prog);
-        cpu = std::make_unique<CpuT>(prog, mem, platform, memctrl);
-        cpu->resetForTask();
-    }
-};
 
 } // anonymous namespace
 
@@ -69,17 +37,19 @@ runPairedCheck(const Program &prog, FaultPort *victimPort,
     // stack). Only with a tracer installed do they stay serial: two
     // arms must not interleave one ring, and a detector check is a
     // rare, traced-for-debugging path, not the campaign hot loop.
-    CoreRig<SimpleCpu> spare(prog);
-    CoreRig<OooCpu> victim(prog);
-    victim.cpu->setFaultPort(victimPort);
+    Rig spare(prog);
+    SimpleCpu &spareCpu = spare.build<SimpleCpu>();
+    Rig victim(prog);
+    OooCpu &victimCpu = victim.build<OooCpu>();
+    victimCpu.setFaultPort(victimPort);
     bool trapped = false;
     const auto arm = [&](std::size_t i) {
         if (i == 0) {
-            spare.cpu->run(maxCycles);
+            spareCpu.run(maxCycles);
             return;
         }
         try {
-            victim.cpu->run(maxCycles);
+            victimCpu.run(maxCycles);
         } catch (const std::exception &) {
             // A corrupted pc/operand drove the pipeline into a panic
             // (unmapped fetch, malformed instruction): the spare's
@@ -94,16 +64,16 @@ runPairedCheck(const Program &prog, FaultPort *victimPort,
     } else {
         parallelFor(2, arm);
     }
-    res.spareRetired = spare.cpu->retired();
+    res.spareRetired = spareCpu.retired();
     if (trapped) {
         res.victimTrapped = true;
         res.detected = true;
         res.report = "victim trapped before the boundary\n";
         return res;
     }
-    res.victimRetired = victim.cpu->retired();
+    res.victimRetired = victimCpu.retired();
 
-    if (!victim.cpu->halted()) {
+    if (!victimCpu.halted()) {
         // The boundary deadline passed (the spare finished inside the
         // same budget): a wedged or looping victim is a detection.
         res.victimTimedOut = true;
@@ -113,10 +83,10 @@ runPairedCheck(const Program &prog, FaultPort *victimPort,
     }
 
     std::string &report = res.report;
-    const ArchState &v = victim.cpu->arch();
-    const ArchState &s = spare.cpu->arch();
+    const ArchState &v = victimCpu.arch();
+    const ArchState &s = spareCpu.arch();
     if (v.pc != s.pc)
-        appendf(report, "pc: victim=0x%08X spare=0x%08X\n", v.pc, s.pc);
+        report += strprintf("pc: victim=0x%08X spare=0x%08X\n", v.pc, s.pc);
     // r1 is the assembler scratch (`at`): workload boundary snippets
     // load the MMIO cycle counter through it for AET reporting, and
     // cycle counts legitimately differ between the complex victim and
@@ -125,26 +95,26 @@ runPairedCheck(const Program &prog, FaultPort *victimPort,
     // the memory / checksum / console votes below.
     for (int r = 0; r < numIntRegs; ++r)
         if (r != 1 && v.readInt(r) != s.readInt(r)) {
-            appendf(report, "r%d: victim=0x%08X spare=0x%08X\n", r,
-                    v.readInt(r), s.readInt(r));
+            report += strprintf("r%d: victim=0x%08X spare=0x%08X\n", r,
+                                v.readInt(r), s.readInt(r));
             break;    // one sample per state class keeps reports small
         }
     for (int f = 0; f < numFpRegs; ++f)
         if (fpBits(v.fpRegs[f]) != fpBits(s.fpRegs[f])) {
-            appendf(report, "f%d: bits differ\n", f);
+            report += strprintf("f%d: bits differ\n", f);
             break;
         }
     if (v.fcc != s.fcc)
-        appendf(report, "fcc: victim=%d spare=%d\n", v.fcc, s.fcc);
+        report += strprintf("fcc: victim=%d spare=%d\n", v.fcc, s.fcc);
 
     static const std::uint8_t zeros[4096] = {};
-    std::vector<Addr> bases = spare.mem.pageBases();
-    for (Addr base : victim.mem.pageBases())
-        if (!spare.mem.peekPage(base))
+    std::vector<Addr> bases = spare.mem().pageBases();
+    for (Addr base : victim.mem().pageBases())
+        if (!spare.mem().peekPage(base))
             bases.push_back(base);
     for (Addr base : bases) {
-        const std::uint8_t *pv = victim.mem.peekPage(base);
-        const std::uint8_t *ps = spare.mem.peekPage(base);
+        const std::uint8_t *pv = victim.mem().peekPage(base);
+        const std::uint8_t *ps = spare.mem().peekPage(base);
         if (!pv)
             pv = zeros;
         if (!ps)
@@ -152,21 +122,21 @@ runPairedCheck(const Program &prog, FaultPort *victimPort,
         if (std::memcmp(pv, ps,
                         static_cast<std::size_t>(
                             MainMemory::pageBytes())) != 0) {
-            appendf(report, "memory page 0x%08X differs\n", base);
+            report += strprintf("memory page 0x%08X differs\n", base);
             break;
         }
     }
 
-    if (victim.platform.lastChecksum() != spare.platform.lastChecksum() ||
-        victim.platform.checksumReported() !=
-            spare.platform.checksumReported())
-        appendf(report, "checksum: victim=0x%08X(%d) spare=0x%08X(%d)\n",
-                victim.platform.lastChecksum(),
-                victim.platform.checksumReported(),
-                spare.platform.lastChecksum(),
-                spare.platform.checksumReported());
-    if (victim.platform.consoleOutput() != spare.platform.consoleOutput())
-        appendf(report, "console output differs\n");
+    if (victim.platform().lastChecksum() != spare.platform().lastChecksum() ||
+        victim.platform().checksumReported() !=
+            spare.platform().checksumReported())
+        report += strprintf("checksum: victim=0x%08X(%d) spare=0x%08X(%d)\n",
+                            victim.platform().lastChecksum(),
+                            victim.platform().checksumReported(),
+                            spare.platform().lastChecksum(),
+                            spare.platform().checksumReported());
+    if (victim.platform().consoleOutput() != spare.platform().consoleOutput())
+        report += "console output differs\n";
 
     res.detected = !report.empty();
     return res;

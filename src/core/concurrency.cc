@@ -9,14 +9,10 @@ namespace visa
 
 SlackScheduler::SlackScheduler(DvsRuntime &rt, const Program &bg_prog,
                                const DvsTable &dvs)
-    : rt_(rt), bgProg_(bg_prog), bgFreq_(dvs.minFreq()),
-      period_(rt.deadlineSeconds())
+    : rt_(rt), bgFreq_(dvs.minFreq()), period_(rt.deadlineSeconds()),
+      bgRig_(bg_prog),
+      bgCpu_(bgRig_.build<SimpleCpu>(std::nullopt, false, bgFreq_))
 {
-    bgMem_.loadProgram(bgProg_);
-    bgCpu_ = std::make_unique<SimpleCpu>(bgProg_, bgMem_, bgPlatform_,
-                                         bgMemctrl_);
-    bgCpu_->resetForTask();
-    bgCpu_->setFrequency(bgFreq_);
 }
 
 TaskStats
@@ -34,15 +30,15 @@ SlackScheduler::runPeriod()
     bg_.cyclesGranted += remaining;
 
     while (remaining > 0) {
-        const Cycles before = bgCpu_->cycles();
-        RunResult r = bgCpu_->run(remaining);
-        const Cycles used = bgCpu_->cycles() - before;
-        bg_.instructionsRetired += bgCpu_->retired() - bgRetiredBase_;
-        bgRetiredBase_ = bgCpu_->retired();
+        const Cycles before = bgCpu_.cycles();
+        RunResult r = bgCpu_.run(remaining);
+        const Cycles used = bgCpu_.cycles() - before;
+        bg_.instructionsRetired += bgCpu_.retired() - bgRetiredBase_;
+        bgRetiredBase_ = bgCpu_.retired();
         remaining -= std::min(used, remaining);
         if (r.reason == StopReason::Halted) {
             ++bg_.completions;
-            bgCpu_->resetForTask();
+            bgCpu_.resetForTask();
             bgRetiredBase_ = 0;
         } else {
             break;    // period boundary: the hard task preempts

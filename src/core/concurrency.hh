@@ -17,9 +17,8 @@
 #ifndef VISA_CORE_CONCURRENCY_HH
 #define VISA_CORE_CONCURRENCY_HH
 
-#include <memory>
-
 #include "core/runtime.hh"
+#include "cpu/rig.hh"
 
 namespace visa
 {
@@ -62,14 +61,11 @@ class SlackScheduler
 
   private:
     DvsRuntime &rt_;
-    const Program &bgProg_;
     MHz bgFreq_;
     double period_;
 
-    MainMemory bgMem_;
-    Platform bgPlatform_;
-    MemController bgMemctrl_;
-    std::unique_ptr<SimpleCpu> bgCpu_;
+    Rig bgRig_;
+    SimpleCpu &bgCpu_;
     std::uint64_t bgRetiredBase_ = 0;
     BackgroundStats bg_;
 };

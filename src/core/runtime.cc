@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "cpu/rig.hh"
 #include "sim/logging.hh"
 #include "sim/prof/prof.hh"
 
@@ -620,16 +621,11 @@ std::vector<std::uint64_t>
 profileComplexAets(const Program &prog, int num_subtasks, double margin,
                    MHz freq)
 {
-    MainMemory mem;
-    Platform platform;
-    MemController memctrl;
-    mem.loadProgram(prog);
-    OooCpu cpu(prog, mem, platform, memctrl);
-    cpu.resetForTask();
-    cpu.setFrequency(freq);
+    Rig rig(prog);
+    OooCpu &cpu = rig.build<OooCpu>(std::nullopt, false, freq);
     std::vector<std::uint64_t> aets(
         static_cast<std::size_t>(num_subtasks), 0);
-    platform.onAetReport = [&](int sub, std::uint64_t aet) {
+    rig.platform().onAetReport = [&](int sub, std::uint64_t aet) {
         if (sub >= 1 && sub <= num_subtasks) {
             aets[static_cast<std::size_t>(sub - 1)] =
                 static_cast<std::uint64_t>(

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <limits>
 #include <numeric>
 
+#include "cpu/rig.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
 
@@ -16,17 +15,6 @@ namespace visa
 namespace
 {
 
-std::string
-formatted(const char *fmt, ...)
-{
-    char buf[256];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    return buf;
-}
-
 constexpr double never = std::numeric_limits<double>::infinity();
 
 } // anonymous namespace
@@ -34,16 +22,15 @@ constexpr double never = std::numeric_limits<double>::infinity();
 /** One admitted task: its private rig plus the scheduler's job state. */
 struct MultiTaskScheduler::ManagedTask
 {
+    explicit ManagedTask(const SchedTaskDef &d) : def(d), rig(*d.program)
+    {
+    }
+
     SchedTaskDef def;
 
-    // The rig: every task keeps its own cycle/watchdog/memory domain,
-    // so preemption freezes exactly this task's watchdog and nothing
-    // else (member order is construction order; the CPU references
-    // mem/platform/memctrl).
-    MainMemory mem;
-    Platform platform;
-    MemController memctrl;
-    std::unique_ptr<Cpu> cpu;
+    // Every task keeps its own cycle/watchdog/memory domain, so
+    // preemption freezes exactly this task's watchdog and nothing else.
+    Rig rig;
     std::unique_ptr<DvsRuntime> rt;
 
     // Job state of the current period.
@@ -109,22 +96,15 @@ MultiTaskScheduler::addTask(const SchedTaskDef &def)
     if (def.periodSeconds <= 0.0)
         fatal("scheduler: task '%s' needs a positive period",
               def.name.c_str());
-    auto t = std::make_unique<ManagedTask>();
-    t->def = def;
-    t->mem.loadProgram(*def.program);
-    if (def.complexMachine) {
-        auto cpu = std::make_unique<OooCpu>(*def.program, t->mem,
-                                            t->platform, t->memctrl);
+    auto t = std::make_unique<ManagedTask>(def);
+    if (def.complexMachine)
         t->rt = std::make_unique<VisaComplexRuntime>(
-            *cpu, *def.program, t->mem, *def.wcet, *def.dvs, def.runtime);
-        t->cpu = std::move(cpu);
-    } else {
-        auto cpu = std::make_unique<SimpleCpu>(*def.program, t->mem,
-                                               t->platform, t->memctrl);
+            t->rig.build<OooCpu>(), *def.program, t->rig.mem(), *def.wcet,
+            *def.dvs, def.runtime);
+    else
         t->rt = std::make_unique<SimpleFixedRuntime>(
-            *cpu, *def.program, t->mem, *def.wcet, *def.dvs, def.runtime);
-        t->cpu = std::move(cpu);
-    }
+            t->rig.build<SimpleCpu>(), *def.program, t->rig.mem(),
+            *def.wcet, *def.dvs, def.runtime);
     t->stats.minSlackSeconds = def.periodSeconds;
     tasks_.push_back(std::move(t));
     return numTasks() - 1;
@@ -214,7 +194,7 @@ MultiTaskScheduler::admissionError() const
         const SchedTaskDef &d = tp->def;
         const double budget = d.runtime.deadlineSeconds;
         if (budget > d.periodSeconds)
-            return formatted("task '%s': budget %.3g ms exceeds its "
+            return strprintf("task '%s': budget %.3g ms exceeds its "
                              "period %.3g ms",
                              d.name.c_str(), budget * 1e3,
                              d.periodSeconds * 1e3);
@@ -244,7 +224,7 @@ MultiTaskScheduler::admissionError() const
             feasible = pair.feasible;
         }
         if (!feasible)
-            return formatted("task '%s': budget %.3g ms is infeasible "
+            return strprintf("task '%s': budget %.3g ms is infeasible "
                              "even at the top operating point",
                              d.name.c_str(), budget * 1e3);
     }
@@ -259,7 +239,7 @@ MultiTaskScheduler::admissionError() const
     const int m = cfg_.cores;
     for (std::size_t i = 0; i < cfg_.affinity.size(); ++i)
         if (cfg_.affinity[i] >= m)
-            return formatted("affinity: task %d pinned to core %d of a "
+            return strprintf("affinity: task %d pinned to core %d of a "
                              "%d-core chip",
                              static_cast<int>(i), cfg_.affinity[i], m);
     if (m > 1 && cfg_.placement == PlacementPolicy::Global) {
@@ -272,7 +252,7 @@ MultiTaskScheduler::admissionError() const
                 inflatedDemand(i) /
                 tasks_[static_cast<std::size_t>(i)]->def.periodSeconds;
             if (u > 1.0)
-                return formatted(
+                return strprintf(
                     "G-EDF: task '%s': interference-inflated "
                     "utilization %.3f exceeds 1",
                     tasks_[static_cast<std::size_t>(i)]
@@ -283,7 +263,7 @@ MultiTaskScheduler::admissionError() const
         }
         const double bound = m - (m - 1) * umax;
         if (total > bound)
-            return formatted("G-EDF: inflated utilization %.3f exceeds "
+            return strprintf("G-EDF: inflated utilization %.3f exceeds "
                              "the GFB bound %.3f (m=%d, Umax=%.3f)",
                              total, bound, m, umax);
         return "";
@@ -301,11 +281,11 @@ MultiTaskScheduler::admissionError() const
             continue;
         if (cfg_.policy == SchedPolicy::Edf) {
             if (!edfSchedulable(part))
-                return formatted("P-EDF: core %d: interference-inflated "
+                return strprintf("P-EDF: core %d: interference-inflated "
                                  "utilization %.3f exceeds 1",
                                  c, utilization(part));
         } else if (!rmResponseTimeFeasible(part)) {
-            return formatted("P-RM: core %d: response-time analysis "
+            return strprintf("P-RM: core %d: response-time analysis "
                              "rejects the partition (utilization %.3f)",
                              c, utilization(part));
         }
@@ -371,7 +351,7 @@ MultiTaskScheduler::run(int jobs_per_task)
     // The rigs outlive this run; detach them from the bus (the bus
     // itself stays alive for buildStats).
     for (auto &t : tasks_)
-        t->memctrl.attachBus(nullptr);
+        t->rig.memctrl().attachBus(nullptr);
     return outcome_;
 }
 
@@ -676,8 +656,8 @@ MultiTaskScheduler::step(CoreState &c, int next, double barrier)
         // Route the task's misses through this core's bus port and
         // re-anchor the bus clock to the core's wall; anchoring every
         // slice bounds cycle-to-ns drift to one quantum.
-        t.memctrl.attachBus(bus_.get(), c.id);
-        bus_->syncCore(c.id, c.w * 1e9, t.cpu->cycles());
+        t.rig.memctrl().attachBus(bus_.get(), c.id);
+        bus_->syncCore(c.id, c.w * 1e9, t.rig.cpu().cycles());
     }
 
     // Run to the next scheduling point: the earliest release that could
@@ -690,7 +670,7 @@ MultiTaskScheduler::step(CoreState &c, int next, double barrier)
     }
     Cycles budget = cfg_.quantumCycles;
     if (std::isfinite(nextEvent) && nextEvent > c.w) {
-        const MHz f = t.cpu->frequency();
+        const MHz f = t.rig.cpu().frequency();
         const Cycles until = static_cast<Cycles>(
             std::ceil((nextEvent - c.w) * f * 1e6));
         budget = std::min(budget, std::max<Cycles>(until, 1));

@@ -6,25 +6,14 @@
 namespace visa
 {
 
+Sim::Sim(std::unique_ptr<Program> ownedProg,
+         std::unique_ptr<Workload> workload, const Program &prog)
+    : ownedProg_(std::move(ownedProg)), workload_(std::move(workload)),
+      rig_(prog)
+{
+}
+
 Sim::~Sim() = default;
-
-OooCpu &
-Sim::ooo()
-{
-    if (!ooo_)
-        fatal("Sim: the machine was built with a simple-fixed "
-              "pipeline, not the OOO one");
-    return *ooo_;
-}
-
-SimpleCpu &
-Sim::simple()
-{
-    if (!simple_)
-        fatal("Sim: the machine was built with the OOO pipeline, not "
-              "the simple-fixed one");
-    return *simple_;
-}
 
 DvsRuntime &
 Sim::runtime()
@@ -88,7 +77,6 @@ SimBuilder &
 SimBuilder::blockCache(bool on)
 {
     blockCache_ = on;
-    blockCacheSet_ = true;
     return *this;
 }
 
@@ -98,13 +86,6 @@ SimBuilder::cores(int n)
     if (n < 1)
         fatal("SimBuilder: cores(%d): a chip has at least one core", n);
     cores_ = n;
-    return *this;
-}
-
-SimBuilder &
-SimBuilder::chipBus(const chip::ChipBusParams &params)
-{
-    busParams_ = params;
     return *this;
 }
 
@@ -137,63 +118,44 @@ SimBuilder::resolveKind() const
     return cpuKind_;
 }
 
-std::unique_ptr<chip::Chip>
-SimBuilder::makeChip()
+const Program &
+SimBuilder::requireProgram() const
 {
     if (!prog_)
         fatal("SimBuilder: no program (use program/source/workload)");
-    chip::ChipConfig cfg;
-    cfg.cores = cores_;
-    cfg.bus = busParams_;
-    auto built = std::make_unique<chip::Chip>(*prog_, cfg);
-    built->adoptProgram(std::move(ownedProg_), std::move(workload_));
-    return built;
+    return *prog_;
 }
 
-/** The historical per-core construction dance, in its exact order:
- *  construct, block-cache knob, reset, mode switch, frequency. */
 void
-SimBuilder::configureCore(chip::ChipCore &core, CpuKind kind)
+SimBuilder::buildPipeline(Rig &rig, CpuKind kind) const
 {
-    Cpu *cpu = nullptr;
     if (kind == CpuKind::Simple)
-        cpu = &core.makeSimple();
+        rig.build<SimpleCpu>(blockCache_, false, freq_);
     else
-        cpu = &core.makeOoo();
-    if (blockCacheSet_)
-        cpu->execCore().setBlockCacheEnabled(blockCache_);
-    cpu->resetForTask();
-    if (kind == CpuKind::ComplexSimpleMode)
-        core.ooo().switchToSimple();
-    if (freq_)
-        cpu->setFrequency(freq_);
+        rig.build<OooCpu>(blockCache_, kind == CpuKind::ComplexSimpleMode,
+                          freq_);
 }
 
 std::unique_ptr<Sim>
 SimBuilder::build()
 {
+    if (cores_ > 1)
+        fatal("SimBuilder: build() makes the single-core Sim; use "
+              "buildChip() for %d cores",
+              cores_);
     const CpuKind kind = resolveKind();
+    const Program &prog = requireProgram();
 
     // Sim has a private ctor; tie the ownership transfer together.
-    std::unique_ptr<Sim> sim(new Sim);
-    sim->chip_ = makeChip();
-    chip::ChipCore &core0 = sim->chip_->core(0);
-    configureCore(core0, kind);
-    if (kind == CpuKind::Simple) {
-        sim->simple_ = &core0.simple();
-        sim->cpu_ = sim->simple_;
-    } else {
-        sim->ooo_ = &core0.ooo();
-        sim->cpu_ = sim->ooo_;
-    }
-
-    const Program &prog = sim->program();
+    std::unique_ptr<Sim> sim(
+        new Sim(std::move(ownedProg_), std::move(workload_), prog));
+    buildPipeline(sim->rig_, kind);
     if (runtimeKind_ == RuntimeKind::Visa)
         sim->runtime_ = std::make_unique<VisaComplexRuntime>(
-            *sim->ooo_, prog, sim->mem(), *wcet_, *dvs_, runtimeCfg_);
+            sim->ooo(), prog, sim->mem(), *wcet_, *dvs_, runtimeCfg_);
     else if (runtimeKind_ == RuntimeKind::SimpleFixed)
         sim->runtime_ = std::make_unique<SimpleFixedRuntime>(
-            *sim->simple_, prog, sim->mem(), *wcet_, *dvs_, runtimeCfg_);
+            sim->simple(), prog, sim->mem(), *wcet_, *dvs_, runtimeCfg_);
     return sim;
 }
 
@@ -203,11 +165,12 @@ SimBuilder::buildChip()
     if (runtimeKind_ != RuntimeKind::None)
         fatal("SimBuilder: buildChip() builds the bare chip; runtimes "
               "are attached per core on top (use build() for the "
-              "single-runtime veneer)");
+              "single-runtime machine)");
     const CpuKind kind = resolveKind();
-    auto built = makeChip();
+    auto built = std::make_unique<chip::Chip>(requireProgram(), cores_);
+    built->adoptProgram(std::move(ownedProg_), std::move(workload_));
     for (int i = 0; i < built->numCores(); ++i)
-        configureCore(built->core(i), kind);
+        buildPipeline(built->core(i), kind);
     return built;
 }
 

@@ -65,6 +65,16 @@ inform(const char *fmt, ...)
     std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
+std::string
+strprintf(const char *fmt, ...)
+{
+    va_list ap;
+    va_start(ap, fmt);
+    std::string out = vformat(fmt, ap);
+    va_end(ap);
+    return out;
+}
+
 bool Debug::anyEnabled_ = false;
 
 const std::vector<Debug::FlagInfo> &

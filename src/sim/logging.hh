@@ -54,6 +54,10 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Print an informational message. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/** printf into a string sized to fit (reports, error messages). */
+std::string strprintf(const char *fmt, ...)
+    __attribute__((format(printf, 1, 2)));
+
 /** Runtime-selectable debug-trace flags ("Exec", "Watchdog", ...). */
 class Debug
 {

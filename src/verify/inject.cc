@@ -8,12 +8,9 @@
 
 #include "chip/paired.hh"
 #include "core/runtime.hh"
-#include "cpu/ooo_cpu.hh"
-#include "cpu/simple_cpu.hh"
+#include "cpu/rig.hh"
 #include "isa/semantics.hh"
-#include "mem/memctrl.hh"
 #include "mem/memory.hh"
-#include "mem/platform.hh"
 #include "sim/parallel.hh"
 #include "sim/prof/prof.hh"
 #include "verify/lockstep.hh"
@@ -264,23 +261,6 @@ FaultInjector::apply(ExecCore &core, MainMemory &mem, ExecInfo &info)
 namespace
 {
 
-/** One self-contained machine (the oracle's rig pattern). */
-template <typename CpuT>
-struct Rig
-{
-    explicit Rig(const Program &prog)
-    {
-        mem.loadProgram(prog);
-        cpu = std::make_unique<CpuT>(prog, mem, platform, memctrl);
-        cpu->resetForTask();
-    }
-
-    MainMemory mem;
-    Platform platform;
-    MemController memctrl;
-    std::unique_ptr<CpuT> cpu;
-};
-
 /** Golden functional run: checksum + dynamic instruction count. */
 struct Golden
 {
@@ -291,9 +271,10 @@ struct Golden
 Golden
 goldenRun(const Program &prog)
 {
-    Rig<SimpleCpu> rig(prog);
-    rig.cpu->run(2'000'000'000ULL);
-    return {rig.platform.lastChecksum(), rig.cpu->retired()};
+    Rig rig(prog);
+    SimpleCpu &cpu = rig.build<SimpleCpu>();
+    cpu.run(2'000'000'000ULL);
+    return {rig.platform().lastChecksum(), cpu.retired()};
 }
 
 /** First watchdog_fire cycle at/after @p after in @p tr (0 = none). */
@@ -356,7 +337,8 @@ runInjectProgram(std::uint64_t seed, FaultClass cls,
     res.deadlineSeconds = deadline;
 
     // ---- phase A: injected run under the restart-recovery runtime ----
-    Rig<OooCpu> rig(g.program);
+    Rig rig(g.program);
+    OooCpu &cpu = rig.build<OooCpu>();
     RuntimeConfig cfg;
     cfg.deadlineSeconds = deadline;
     cfg.ovhdSeconds = opts.ovhdSeconds;
@@ -364,14 +346,14 @@ runInjectProgram(std::uint64_t seed, FaultClass cls,
     cfg.drainBudgetCycles = opts.drainBudgetCycles;
     cfg.recoveryPolicy = RecoveryPolicy::Restart;
     cfg.restartRestoreCycles = opts.restartRestoreCycles;
-    VisaComplexRuntime rt(*rig.cpu, g.program, rig.mem, wcet, dvs, cfg);
+    VisaComplexRuntime rt(cpu, g.program, rig.mem(), wcet, dvs, cfg);
     rt.pets().seed(profileComplexAets(g.program, wcet.numSubtasks()));
 
     if (opts.forceMiss)
         rt.forceNextMiss();
 
     FaultInjector inj(spec);
-    rig.cpu->setFaultPort(&inj);
+    cpu.setFaultPort(&inj);
 
     Tracer local(1 << 14);
     Tracer *tr = opts.trace ? opts.trace : &local;
@@ -395,7 +377,7 @@ runInjectProgram(std::uint64_t seed, FaultClass cls,
             res.report = std::string("trap: ") + e.what();
         }
     }
-    rig.cpu->setFaultPort(nullptr);
+    cpu.setFaultPort(nullptr);
     res.fault = inj.record();
     res.restarts = rt.stats().restarts;
 

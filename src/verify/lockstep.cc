@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <cstring>
 #include <deque>
-#include <memory>
+#include <optional>
 #include <vector>
 
-#include "cpu/ooo_cpu.hh"
-#include "cpu/simple_cpu.hh"
+#include "cpu/rig.hh"
+#include "sim/logging.hh"
 #include "sim/trace.hh"
 
 namespace visa::verify
@@ -113,21 +111,18 @@ recordsMatch(const StepRecord &a, const StepRecord &b)
 struct Side
 {
     Side(const Program &prog, const char *label, int traceTail)
-        : name(label),
+        : name(label), rig(prog),
           tracer(static_cast<std::size_t>(std::max(traceTail, 0)))
     {
-        mem.loadProgram(prog);
     }
 
     template <typename CpuT>
-    void
-    makeCpu(const Program &prog, bool blockCache)
+    CpuT &
+    makeCpu(std::optional<bool> blockCache)
     {
-        auto c = std::make_unique<CpuT>(prog, mem, platform, memctrl);
-        cpu = std::move(c);
-        cpu->resetForTask();
-        cpu->execCore().setBlockCacheEnabled(blockCache);
-        cpu->execCore().setObserver(&rec);
+        CpuT &c = rig.build<CpuT>(blockCache);
+        c.execCore().setObserver(&rec);
+        return c;
     }
 
     /** Run until @p chunk records are buffered, halt, or @p cap. */
@@ -137,7 +132,7 @@ struct Side
         while (!halted && rec.buf.size() < chunkRecords &&
                consumed + rec.buf.size() <= cap) {
             ScopedTracer st(tracer);
-            if (cpu->run(sliceCycles).reason == StopReason::Halted)
+            if (rig.cpu().run(sliceCycles).reason == StopReason::Halted)
                 halted = true;
         }
     }
@@ -156,10 +151,7 @@ struct Side
     }
 
     const char *name;
-    MainMemory mem;
-    Platform platform;
-    MemController memctrl;
-    std::unique_ptr<Cpu> cpu;
+    Rig rig;
     Recorder rec;
     Tracer tracer;
     std::deque<StepRecord> history;
@@ -168,31 +160,16 @@ struct Side
 };
 
 void
-appendf(std::string &out, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void
-appendf(std::string &out, const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    char buf[512];
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    out += buf;
-}
-
-void
 describeRecord(std::string &out, std::uint64_t index, const StepRecord &r)
 {
-    appendf(out, "  #%-8" PRIu64 " 0x%08X  %-28s", index, r.pc,
-            disassemble(r.inst, r.pc).c_str());
+    out += strprintf("  #%-8" PRIu64 " 0x%08X  %-28s", index, r.pc,
+                     disassemble(r.inst, r.pc).c_str());
     if (r.flags & StepRecord::isStore)
-        appendf(out, " [0x%08X] <- 0x%016" PRIX64, r.effAddr, r.value);
+        out += strprintf(" [0x%08X] <- 0x%016" PRIX64, r.effAddr, r.value);
     else if (r.flags & StepRecord::hasFpDest)
-        appendf(out, " f%d <- 0x%016" PRIX64, r.inst.rd, r.value);
+        out += strprintf(" f%d <- 0x%016" PRIX64, r.inst.rd, r.value);
     else if (r.flags & StepRecord::hasIntDest)
-        appendf(out, " -> 0x%08X", static_cast<Word>(r.value));
+        out += strprintf(" -> 0x%08X", static_cast<Word>(r.value));
     if (r.flags & StepRecord::fccSet)
         out += " fcc=1";
     if (r.flags & StepRecord::isMmio)
@@ -203,7 +180,7 @@ describeRecord(std::string &out, std::uint64_t index, const StepRecord &r)
 void
 appendContext(std::string &out, const Side &s, std::size_t upTo)
 {
-    appendf(out, "%s stream (program order):\n", s.name);
+    out += strprintf("%s stream (program order):\n", s.name);
     std::uint64_t base = s.consumed - s.history.size();
     std::uint64_t idx = base;
     for (const StepRecord &r : s.history)
@@ -216,15 +193,15 @@ appendContext(std::string &out, const Side &s, std::size_t upTo)
 void
 appendTraceTail(std::string &out, const Side &s, int tail)
 {
-    appendf(out, "%s trace tail:\n", s.name);
+    out += strprintf("%s trace tail:\n", s.name);
     const std::size_t n = s.tracer.size();
     const std::size_t keep = static_cast<std::size_t>(std::max(tail, 0));
     for (std::size_t i = n > keep ? n - keep : 0; i < n; ++i) {
         const TraceEvent &e = s.tracer.at(i);
         const EventKindInfo &info = eventKindInfo(e.kind);
-        appendf(out, "  [%10" PRIu64 "] %s.%s a=0x%" PRIX64 " b=%" PRIu64
-                     " c=%" PRIu64 "\n",
-                e.cycle, info.category, info.name, e.a, e.b, e.c);
+        out += strprintf("  [%10" PRIu64 "] %s.%s a=0x%" PRIX64 " b=%" PRIu64
+                         " c=%" PRIu64 "\n", e.cycle, info.category, info.name,
+                         e.a, e.b, e.c);
     }
 }
 
@@ -233,9 +210,9 @@ divergenceReport(const Side &ref, const Side &cand, std::size_t at,
                  const LockstepOptions &opts, const char *what)
 {
     std::string out;
-    appendf(out, "lockstep divergence: %s\n", what);
-    appendf(out, "  first differing instruction: #%" PRIu64 "\n",
-            ref.consumed + at);
+    out += strprintf("lockstep divergence: %s\n", what);
+    out += strprintf("  first differing instruction: #%" PRIu64 "\n",
+                     ref.consumed + at);
     const std::size_t upTo =
         at + static_cast<std::size_t>(opts.reportWindow);
     appendContext(out, ref, upTo);
@@ -250,34 +227,36 @@ bool
 compareFinalState(Side &ref, Side &cand, const LockstepOptions &opts,
                   std::string &report)
 {
-    const ArchState &a = ref.cpu->arch();
-    const ArchState &b = cand.cpu->arch();
+    const ArchState &a = ref.rig.cpu().arch();
+    const ArchState &b = cand.rig.cpu().arch();
     if (a.pc != b.pc)
-        appendf(report, "final pc: %s=0x%08X %s=0x%08X\n", ref.name, a.pc,
-                cand.name, b.pc);
+        report += strprintf("final pc: %s=0x%08X %s=0x%08X\n", ref.name, a.pc,
+                            cand.name, b.pc);
     for (int r = 0; r < numIntRegs; ++r)
         if (a.readInt(r) != b.readInt(r))
-            appendf(report, "final r%d: %s=0x%08X %s=0x%08X\n", r, ref.name,
-                    a.readInt(r), cand.name, b.readInt(r));
+            report += strprintf("final r%d: %s=0x%08X %s=0x%08X\n", r,
+                                ref.name, a.readInt(r), cand.name,
+                                b.readInt(r));
     for (int f = 0; f < numFpRegs; ++f)
         if (fpBits(a.fpRegs[f]) != fpBits(b.fpRegs[f]))
-            appendf(report,
-                    "final f%d: %s=0x%016" PRIX64 " %s=0x%016" PRIX64 "\n",
-                    f, ref.name, fpBits(a.fpRegs[f]), cand.name,
-                    fpBits(b.fpRegs[f]));
+            report += strprintf("final f%d: %s=0x%016" PRIX64 " %s=0x%016"
+                                PRIX64 "\n", f, ref.name, fpBits(a.fpRegs[f]),
+                                cand.name, fpBits(b.fpRegs[f]));
     if (a.fcc != b.fcc)
-        appendf(report, "final fcc: %s=%d %s=%d\n", ref.name, a.fcc,
-                cand.name, b.fcc);
+        report += strprintf("final fcc: %s=%d %s=%d\n", ref.name, a.fcc,
+                            cand.name, b.fcc);
 
     if (opts.compareMemory) {
         static const std::uint8_t zeros[4096] = {};
-        std::vector<Addr> bases = ref.mem.pageBases();
-        for (Addr base : cand.mem.pageBases())
-            if (!ref.mem.peekPage(base))
+        MainMemory &ma = ref.rig.mem();
+        MainMemory &mb = cand.rig.mem();
+        std::vector<Addr> bases = ma.pageBases();
+        for (Addr base : mb.pageBases())
+            if (!ma.peekPage(base))
                 bases.push_back(base);
         for (Addr base : bases) {
-            const std::uint8_t *pa = ref.mem.peekPage(base);
-            const std::uint8_t *pb = cand.mem.peekPage(base);
+            const std::uint8_t *pa = ma.peekPage(base);
+            const std::uint8_t *pb = mb.peekPage(base);
             if (!pa)
                 pa = zeros;
             if (!pb)
@@ -288,25 +267,27 @@ compareFinalState(Side &ref, Side &cand, const LockstepOptions &opts,
                 continue;
             for (std::size_t i = 0; i < n; ++i)
                 if (pa[i] != pb[i]) {
-                    appendf(report,
-                            "memory [0x%08X]: %s=0x%02X %s=0x%02X\n",
-                            base + static_cast<Addr>(i), ref.name, pa[i],
-                            cand.name, pb[i]);
+                    report += strprintf(
+                        "memory [0x%08X]: %s=0x%02X %s=0x%02X\n",
+                        base + static_cast<Addr>(i), ref.name, pa[i],
+                        cand.name, pb[i]);
                     break;    // one sample byte per differing page
                 }
         }
     }
 
-    if (ref.platform.lastChecksum() != cand.platform.lastChecksum() ||
-        ref.platform.checksumReported() != cand.platform.checksumReported())
-        appendf(report, "checksum: %s=0x%08X(%d) %s=0x%08X(%d)\n", ref.name,
-                ref.platform.lastChecksum(), ref.platform.checksumReported(),
-                cand.name, cand.platform.lastChecksum(),
-                cand.platform.checksumReported());
-    if (ref.platform.consoleOutput() != cand.platform.consoleOutput())
-        appendf(report, "console output differs (%zu vs %zu bytes)\n",
-                ref.platform.consoleOutput().size(),
-                cand.platform.consoleOutput().size());
+    const Platform &platA = ref.rig.platform();
+    const Platform &platB = cand.rig.platform();
+    if (platA.lastChecksum() != platB.lastChecksum() ||
+        platA.checksumReported() != platB.checksumReported())
+        report += strprintf("checksum: %s=0x%08X(%d) %s=0x%08X(%d)\n",
+                            ref.name, platA.lastChecksum(),
+                            platA.checksumReported(), cand.name,
+                            platB.lastChecksum(), platB.checksumReported());
+    if (platA.consoleOutput() != platB.consoleOutput())
+        report += strprintf("console output differs (%zu vs %zu bytes)\n",
+                            platA.consoleOutput().size(),
+                            platB.consoleOutput().size());
     return report.empty();
 }
 
@@ -318,11 +299,11 @@ runLockstep(const Program &prog, const LockstepOptions &opts)
     LockstepResult res;
 
     Side ref(prog, "reference(simple)", opts.traceTail);
-    ref.makeCpu<SimpleCpu>(prog, opts.refBlockCache);
+    ref.makeCpu<SimpleCpu>(opts.refBlockCache);
     Side cand(prog, "candidate(complex)", opts.traceTail);
-    cand.makeCpu<OooCpu>(prog, opts.candBlockCache);
+    OooCpu &candCpu = cand.makeCpu<OooCpu>(opts.candBlockCache);
     if (opts.prepareComplex)
-        opts.prepareComplex(static_cast<OooCpu &>(*cand.cpu));
+        opts.prepareComplex(candCpu);
 
     const std::size_t keep = static_cast<std::size_t>(opts.reportWindow);
     // Guards against a livelocked pipeline that burns cycles without
@@ -356,11 +337,11 @@ runLockstep(const Program &prog, const LockstepOptions &opts)
         stalledIterations = n == 0 ? stalledIterations + 1 : 0;
         if (stalledIterations > 4096) {
             res.timedOut = true;
-            appendf(res.report,
-                    "lockstep stall: no forward progress after %" PRIu64
-                    " instructions (ref %s, cand %s)\n",
-                    res.instructions, ref.halted ? "halted" : "running",
-                    cand.halted ? "halted" : "running");
+            res.report += strprintf(
+                "lockstep stall: no forward progress after %" PRIu64
+                " instructions (ref %s, cand %s)\n", res.instructions,
+                ref.halted ? "halted" : "running",
+                cand.halted ? "halted" : "running");
             return res;
         }
 
@@ -390,9 +371,8 @@ runLockstep(const Program &prog, const LockstepOptions &opts)
             (!cand.halted &&
              cand.consumed + cand.rec.buf.size() > opts.maxInstructions)) {
             res.timedOut = true;
-            appendf(res.report,
-                    "lockstep timeout after %" PRIu64 " instructions\n",
-                    res.instructions);
+            res.report += strprintf("lockstep timeout after %" PRIu64
+                                    " instructions\n", res.instructions);
             return res;
         }
     }

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "isa/program.hh"
@@ -53,13 +54,14 @@ struct LockstepOptions
     /** Skip the final page-by-page memory diff (for speed). */
     bool compareMemory = true;
     /**
-     * Per-side basic-block translation cache switches. Defaulting both
-     * on matches production; splitting them (one side cached, one not)
-     * turns every lockstep run into a cache-on/off equivalence check
-     * on top of the pipeline diff.
+     * Per-side basic-block translation cache switches. Unset, a side
+     * keeps the process default (ExecCore::blockCacheDefault, which
+     * --no-block-cache turns off); splitting them (one side cached,
+     * one not) turns every lockstep run into a cache-on/off
+     * equivalence check on top of the pipeline diff.
      */
-    bool refBlockCache = true;
-    bool candBlockCache = true;
+    std::optional<bool> refBlockCache;
+    std::optional<bool> candBlockCache;
     /**
      * Test hook: called on the complex rig's CPU after construction
      * (e.g. to enable the injected verification bug).

@@ -2,18 +2,11 @@
 
 #include <cinttypes>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <map>
-#include <memory>
 
 #include "core/checkpoints.hh"
 #include "core/wcet_table.hh"
-#include "cpu/ooo_cpu.hh"
-#include "cpu/simple_cpu.hh"
-#include "mem/memctrl.hh"
-#include "mem/memory.hh"
-#include "mem/platform.hh"
+#include "cpu/rig.hh"
 #include "sim/logging.hh"
 #include "wcet/analyzer.hh"
 
@@ -23,40 +16,8 @@ namespace visa::verify
 namespace
 {
 
-void
-appendf(std::string &out, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void
-appendf(std::string &out, const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    char buf[512];
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    out += buf;
-}
-
 /** Forced-expiry watchdog budget: fires early in sub-task 1. */
 constexpr Word forcedExpiryCycles = 8;
-
-/** A self-contained machine for one oracle run. */
-template <typename CpuT>
-struct Rig
-{
-    explicit Rig(const Program &prog)
-    {
-        mem.loadProgram(prog);
-        cpu = std::make_unique<CpuT>(prog, mem, platform, memctrl);
-        cpu->resetForTask();
-    }
-
-    MainMemory mem;
-    Platform platform;
-    MemController memctrl;
-    std::unique_ptr<CpuT> cpu;
-};
 
 /**
  * Run @p prog to completion at @p f collecting per-sub-task AETs; the
@@ -67,14 +28,14 @@ template <typename CpuT>
 std::map<int, std::uint64_t>
 collectAets(const Program &prog, MHz f, Word &checksum)
 {
-    Rig<CpuT> rig(prog);
-    rig.cpu->setFrequency(f);
+    Rig rig(prog);
+    rig.build<CpuT>(std::nullopt, false, f);
     std::map<int, std::uint64_t> aets;
-    rig.platform.onAetReport = [&](int id, std::uint64_t cycles) {
+    rig.platform().onAetReport = [&](int id, std::uint64_t cycles) {
         aets[id] = cycles;
     };
-    rig.cpu->run(2'000'000'000ULL);
-    checksum = rig.platform.lastChecksum();
+    rig.cpu().run(2'000'000'000ULL);
+    checksum = rig.platform().lastChecksum();
     return aets;
 }
 
@@ -86,17 +47,16 @@ checkAets(std::string &report, const char *what,
     for (int k = 0; k < wcet.numSubtasks(); ++k) {
         auto it = aets.find(k + 1);
         if (it == aets.end()) {
-            appendf(report, "%s: sub-task %d reported no AET at %u MHz\n",
-                    what, k + 1, f);
+            report += strprintf("%s: sub-task %d reported no AET at %u MHz\n",
+                                what, k + 1, f);
             continue;
         }
         const Cycles bound = wcet.subtaskCycles(k, f);
         if (it->second > bound)
-            appendf(report,
-                    "%s: sub-task %d AET %" PRIu64
-                    " exceeds WCET %" PRIu64 " at %u MHz\n",
-                    what, k + 1, it->second,
-                    static_cast<std::uint64_t>(bound), f);
+            report += strprintf("%s: sub-task %d AET %" PRIu64
+                                " exceeds WCET %" PRIu64 " at %u MHz\n", what,
+                                k + 1, it->second,
+                                static_cast<std::uint64_t>(bound), f);
     }
 }
 
@@ -113,9 +73,9 @@ checkCheckpointArithmetic(std::string &report, const CheckpointPlan &plan,
     const int s = static_cast<int>(rec.subtaskCycles.size());
     if (static_cast<int>(plan.checkpoints.size()) != s ||
         static_cast<int>(plan.increments.size()) != s) {
-        appendf(report, "EQ1: plan has %zu checkpoints / %zu increments "
-                        "for %d sub-tasks\n",
-                plan.checkpoints.size(), plan.increments.size(), s);
+        report += strprintf("EQ1: plan has %zu checkpoints / %zu increments "
+                            "for %d sub-tasks\n", plan.checkpoints.size(),
+                            plan.increments.size(), s);
         return;
     }
     const double fhz = opts.fSpec * 1e6;
@@ -134,31 +94,31 @@ checkCheckpointArithmetic(std::string &report, const CheckpointPlan &plan,
         const double got = plan.checkpoints[static_cast<std::size_t>(i)];
         if (std::fabs(got - want) >
             1e-12 * std::max(1.0, std::fabs(want)))
-            appendf(report,
-                    "EQ1: checkpoint %d is %.12g s, expected %.12g s\n",
-                    i + 1, got, want);
+            report += strprintf(
+                "EQ1: checkpoint %d is %.12g s, expected %.12g s\n", i + 1,
+                got, want);
         if (got <= 0.0)
-            appendf(report, "EQ1: checkpoint %d non-positive (%.3g s)\n",
-                    i + 1, got);
+            report += strprintf("EQ1: checkpoint %d non-positive (%.3g s)\n",
+                                i + 1, got);
         if (i > 0 && got < plan.checkpoints[static_cast<std::size_t>(i - 1)])
-            appendf(report, "EQ1: checkpoint %d not monotonic\n", i + 1);
+            report += strprintf("EQ1: checkpoint %d not monotonic\n", i + 1);
         if (plan.increments[static_cast<std::size_t>(i)] <= 0)
-            appendf(report, "EQ1: increment %d non-positive\n", i + 1);
+            report += strprintf("EQ1: increment %d non-positive\n", i + 1);
         cum += plan.increments[static_cast<std::size_t>(i)];
         // The running watchdog total realizes checkpoint i in cycles
         // at f_spec: never beyond it (safety), and within one floor()
         // rounding step per term of it (tightness).
         const double cumSeconds = static_cast<double>(cum) / fhz;
         if (cumSeconds > got + 1e-12)
-            appendf(report,
-                    "EQ1: watchdog total %" PRId64
-                    " overshoots checkpoint %d (%.12g > %.12g s)\n",
-                    cum, i + 1, cumSeconds, got);
+            report += strprintf(
+                "EQ1: watchdog total %" PRId64
+                " overshoots checkpoint %d (%.12g > %.12g s)\n", cum, i + 1,
+                cumSeconds, got);
         if (static_cast<double>(cum + i + 1) < got * fhz - 1.0)
-            appendf(report,
-                    "EQ1: watchdog total %" PRId64
-                    " undershoots checkpoint %d by more than rounding\n",
-                    cum, i + 1);
+            report += strprintf(
+                "EQ1: watchdog total %" PRId64
+                " undershoots checkpoint %d by more than rounding\n", cum,
+                i + 1);
     }
 }
 
@@ -172,47 +132,45 @@ void
 checkForcedRecovery(std::string &report, const Program &prog,
                     const OracleOptions &opts, double deadline)
 {
-    Rig<OooCpu> rig(prog);
-    rig.cpu->setFrequency(opts.fSpec);
-    rig.platform.setRecoveryFreq(opts.fRec);
+    Rig rig(prog);
+    OooCpu &cpu = rig.build<OooCpu>(std::nullopt, false, opts.fSpec);
+    rig.platform().setRecoveryFreq(opts.fRec);
     // Arm the watchdog with a tiny budget through the program's own
     // wdinc table: the sub-task 1 snippet loads wdinc[0] and stores it
     // to the watchdog port. Later entries stay zero (add nothing).
-    rig.mem.writeWord(prog.symbol("wdinc"), forcedExpiryCycles);
-    rig.platform.maskWatchdog(false);
+    rig.mem().writeWord(prog.symbol("wdinc"), forcedExpiryCycles);
+    rig.platform().maskWatchdog(false);
 
-    RunResult r = rig.cpu->run(2'000'000'000ULL);
+    RunResult r = cpu.run(2'000'000'000ULL);
     if (r.reason != StopReason::WatchdogExpired) {
-        appendf(report, "recovery: watchdog never fired (reason %d)\n",
-                static_cast<int>(r.reason));
+        report += strprintf("recovery: watchdog never fired (reason %d)\n",
+                            static_cast<int>(r.reason));
         return;
     }
-    rig.platform.maskWatchdog(true);
-    rig.cpu->switchToSimple();
-    const Cycles specCycles = rig.cpu->cycles();
-    rig.cpu->setFrequency(opts.fRec);
-    r = rig.cpu->run(2'000'000'000ULL);
+    rig.platform().maskWatchdog(true);
+    cpu.switchToSimple();
+    const Cycles specCycles = cpu.cycles();
+    cpu.setFrequency(opts.fRec);
+    r = cpu.run(2'000'000'000ULL);
     if (r.reason != StopReason::Halted) {
-        appendf(report, "recovery: task did not complete (reason %d)\n",
-                static_cast<int>(r.reason));
+        report += strprintf("recovery: task did not complete (reason %d)\n",
+                            static_cast<int>(r.reason));
         return;
     }
-    if (!rig.platform.checksumReported())
-        appendf(report, "recovery: no checksum reported after recovery\n");
+    if (!rig.platform().checksumReported())
+        report += "recovery: no checksum reported after recovery\n";
 
-    const Cycles recCycles = rig.cpu->cycles() - specCycles;
+    const Cycles recCycles = cpu.cycles() - specCycles;
     const double elapsed =
         static_cast<double>(specCycles) / (opts.fSpec * 1e6) +
         opts.ovhdSeconds +
         static_cast<double>(recCycles) / (opts.fRec * 1e6);
     if (elapsed > deadline)
-        appendf(report,
-                "recovery: %.6g s exceeds deadline %.6g s "
-                "(spec %" PRIu64 " cy @%u MHz + ovhd + rec %" PRIu64
-                " cy @%u MHz)\n",
-                elapsed, deadline, static_cast<std::uint64_t>(specCycles),
-                opts.fSpec, static_cast<std::uint64_t>(recCycles),
-                opts.fRec);
+        report += strprintf("recovery: %.6g s exceeds deadline %.6g s (spec %"
+                            PRIu64 " cy @%u MHz + ovhd + rec %" PRIu64
+                            " cy @%u MHz)\n", elapsed, deadline,
+                            static_cast<std::uint64_t>(specCycles), opts.fSpec,
+                            static_cast<std::uint64_t>(recCycles), opts.fRec);
 }
 
 } // namespace
@@ -240,10 +198,9 @@ runTimingOracle(const GeneratedProgram &gp, const OracleOptions &opts)
                   collectAets<OooCpu>(prog, opts.fSpec, complexCk), wcet,
                   opts.fSpec);
         if (simpleCk != complexCk)
-            appendf(res.report,
-                    "functional: checksum mismatch simple=0x%08X "
-                    "complex=0x%08X\n",
-                    simpleCk, complexCk);
+            res.report += strprintf(
+                "functional: checksum mismatch simple=0x%08X complex=0x%08X\n",
+                simpleCk, complexCk);
 
         // 2. EQ 1 arithmetic, against an independent re-derivation.
         const double deadline =
@@ -259,7 +216,7 @@ runTimingOracle(const GeneratedProgram &gp, const OracleOptions &opts)
         if (opts.checkForcedRecovery)
             checkForcedRecovery(res.report, prog, opts, deadline);
     } catch (const FatalError &e) {
-        appendf(res.report, "oracle: fatal: %s\n", e.what());
+        res.report += strprintf("oracle: fatal: %s\n", e.what());
     }
 
     res.ok = res.report.empty();

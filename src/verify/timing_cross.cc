@@ -2,13 +2,11 @@
 
 #include <bit>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <deque>
-#include <memory>
 #include <vector>
 
-#include "cpu/ooo_cpu.hh"
+#include "cpu/rig.hh"
+#include "sim/logging.hh"
 #include "sim/trace.hh"
 #include "verify/ref_ooo_cpu.hh"
 
@@ -17,21 +15,6 @@ namespace visa::verify
 
 namespace
 {
-
-void
-appendf(std::string &out, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void
-appendf(std::string &out, const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    char buf[512];
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    out += buf;
-}
 
 bool
 eventsEqual(const TraceEvent &a, const TraceEvent &b)
@@ -44,21 +27,18 @@ void
 describeEvent(std::string &out, std::uint64_t index, const TraceEvent &e)
 {
     const EventKindInfo &info = eventKindInfo(e.kind);
-    appendf(out,
-            "  #%-8" PRIu64 " [%10" PRIu64 "] %s.%s a=0x%" PRIX64
-            " b=%" PRIu64 " c=%" PRIu64 "\n",
-            index, e.cycle, info.category, info.name, e.a, e.b, e.c);
+    out += strprintf("  #%-8" PRIu64 " [%10" PRIu64 "] %s.%s a=0x%" PRIX64
+                     " b=%" PRIu64 " c=%" PRIu64 "\n", index, e.cycle,
+                     info.category, info.name, e.a, e.b, e.c);
 }
 
 /** One core plus its private tracer and drained event stream. */
 template <typename CpuT>
 struct XSide
 {
-    XSide(const Program &prog, const char *label) : name(label)
+    XSide(const Program &prog, const char *label)
+        : name(label), rig(prog), cpu(&rig.build<CpuT>())
     {
-        mem.loadProgram(prog);
-        cpu = std::make_unique<CpuT>(prog, mem, platform, memctrl);
-        cpu->resetForTask();
     }
 
     void
@@ -113,10 +93,8 @@ struct XSide
     }
 
     const char *name;
-    MainMemory mem;
-    Platform platform;
-    MemController memctrl;
-    std::unique_ptr<CpuT> cpu;
+    Rig rig;
+    CpuT *cpu;
     Tracer tracer{1 << 16};
     std::vector<TraceEvent> events;
     std::deque<TraceEvent> history;
@@ -128,7 +106,7 @@ template <typename SideT>
 void
 appendContext(std::string &out, const SideT &s, std::size_t upTo)
 {
-    appendf(out, "%s event stream:\n", s.name);
+    out += strprintf("%s event stream:\n", s.name);
     std::uint64_t idx = s.consumed - s.history.size();
     for (const TraceEvent &e : s.history)
         describeEvent(out, idx++, e);
@@ -143,8 +121,8 @@ divergenceReport(const RefT &ref, const CandT &cand,
                  const TimingCrossOptions &opts, const char *what)
 {
     std::string out;
-    appendf(out, "timing divergence: %s\n", what);
-    appendf(out, "  first differing event: #%" PRIu64 "\n", ref.consumed);
+    out += strprintf("timing divergence: %s\n", what);
+    out += strprintf("  first differing event: #%" PRIu64 "\n", ref.consumed);
     const std::size_t upTo = static_cast<std::size_t>(opts.reportWindow);
     appendContext(out, ref, upTo);
     appendContext(out, cand, upTo);
@@ -200,12 +178,12 @@ runTimingCross(const Program &prog, const TimingCrossOptions &opts)
         if (ref.cpu->cycles() > opts.maxCycles ||
             cand.cpu->cycles() > opts.maxCycles) {
             res.timedOut = true;
-            appendf(res.report,
-                    "timing cross-check timeout: ref %s @%" PRIu64
-                    ", cand %s @%" PRIu64 "\n",
-                    ref.halted ? "halted" : "running", ref.cpu->cycles(),
-                    cand.halted ? "halted" : "running",
-                    cand.cpu->cycles());
+            res.report += strprintf("timing cross-check timeout: ref %s @%"
+                                    PRIu64 ", cand %s @%" PRIu64 "\n",
+                                    ref.halted ? "halted" : "running",
+                                    ref.cpu->cycles(),
+                                    cand.halted ? "halted" : "running",
+                                    cand.cpu->cycles());
             return res;
         }
 
@@ -243,23 +221,23 @@ runTimingCross(const Program &prog, const TimingCrossOptions &opts)
 
     std::string diff;
     if (ref.cpu->cycles() != cand.cpu->cycles())
-        appendf(diff, "final cycles: ref=%" PRIu64 " cand=%" PRIu64 "\n",
-                ref.cpu->cycles(), cand.cpu->cycles());
+        diff += strprintf("final cycles: ref=%" PRIu64 " cand=%" PRIu64 "\n",
+                          ref.cpu->cycles(), cand.cpu->cycles());
     if (ref.cpu->retired() != cand.cpu->retired())
-        appendf(diff, "retired: ref=%" PRIu64 " cand=%" PRIu64 "\n",
-                ref.cpu->retired(), cand.cpu->retired());
+        diff += strprintf("retired: ref=%" PRIu64 " cand=%" PRIu64 "\n",
+                          ref.cpu->retired(), cand.cpu->retired());
     if (ref.cpu->branchMispredicts() != cand.cpu->branchMispredicts())
-        appendf(diff,
-                "branch mispredicts: ref=%" PRIu64 " cand=%" PRIu64 "\n",
-                ref.cpu->branchMispredicts(), cand.cpu->branchMispredicts());
-    if (ref.platform.lastChecksum() != cand.platform.lastChecksum() ||
-        ref.platform.checksumReported() !=
-            cand.platform.checksumReported())
-        appendf(diff, "checksum: ref=0x%08X(%d) cand=0x%08X(%d)\n",
-                ref.platform.lastChecksum(),
-                ref.platform.checksumReported(),
-                cand.platform.lastChecksum(),
-                cand.platform.checksumReported());
+        diff += strprintf(
+            "branch mispredicts: ref=%" PRIu64 " cand=%" PRIu64 "\n",
+            ref.cpu->branchMispredicts(), cand.cpu->branchMispredicts());
+    const Platform &refPlat = ref.rig.platform();
+    const Platform &candPlat = cand.rig.platform();
+    if (refPlat.lastChecksum() != candPlat.lastChecksum() ||
+        refPlat.checksumReported() != candPlat.checksumReported())
+        diff += strprintf("checksum: ref=0x%08X(%d) cand=0x%08X(%d)\n",
+                          refPlat.lastChecksum(), refPlat.checksumReported(),
+                          candPlat.lastChecksum(),
+                          candPlat.checksumReported());
     // Architectural backstop: a datapath bug whose corrupted values
     // never reach a branch, an address, or the MMIO checksum is
     // invisible in the event stream, but it always leaves the final
@@ -268,26 +246,26 @@ runTimingCross(const Program &prog, const TimingCrossOptions &opts)
     const ArchState &ra = ref.cpu->arch();
     const ArchState &ca = cand.cpu->arch();
     if (ra.pc != ca.pc)
-        appendf(diff, "final pc: ref=0x%" PRIX64 " cand=0x%" PRIX64 "\n",
-                static_cast<std::uint64_t>(ra.pc),
-                static_cast<std::uint64_t>(ca.pc));
+        diff += strprintf("final pc: ref=0x%" PRIX64 " cand=0x%" PRIX64 "\n",
+                          static_cast<std::uint64_t>(ra.pc),
+                          static_cast<std::uint64_t>(ca.pc));
     if (ra.fcc != ca.fcc)
-        appendf(diff, "final fcc: ref=%d cand=%d\n", ra.fcc, ca.fcc);
+        diff += strprintf("final fcc: ref=%d cand=%d\n", ra.fcc, ca.fcc);
     for (int r = 0; r < numIntRegs; ++r)
         if (ra.intRegs[static_cast<std::size_t>(r)] !=
             ca.intRegs[static_cast<std::size_t>(r)])
-            appendf(diff, "final r%d: ref=0x%08X cand=0x%08X\n", r,
-                    static_cast<unsigned>(
-                        ra.intRegs[static_cast<std::size_t>(r)]),
-                    static_cast<unsigned>(
-                        ca.intRegs[static_cast<std::size_t>(r)]));
+            diff += strprintf("final r%d: ref=0x%08X cand=0x%08X\n", r,
+                              static_cast<unsigned>(
+                                  ra.intRegs[static_cast<std::size_t>(r)]),
+                              static_cast<unsigned>(
+                                  ca.intRegs[static_cast<std::size_t>(r)]));
     for (int r = 0; r < numFpRegs; ++r)
         // Bit-pattern compare: value compare would flag identical NaNs.
         if (std::bit_cast<std::uint64_t>(
                 ra.fpRegs[static_cast<std::size_t>(r)]) !=
             std::bit_cast<std::uint64_t>(
                 ca.fpRegs[static_cast<std::size_t>(r)]))
-            appendf(diff, "final f%d differs\n", r);
+            diff += strprintf("final f%d differs\n", r);
     if (!diff.empty()) {
         res.diverged = true;
         res.report = "timing divergence: final state differs\n" + diff;

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "cpu/rig.hh"
 #include "cpu/simple_cpu.hh"
 #include "cpu/visa_timing.hh"
 #include "sim/logging.hh"
@@ -882,12 +883,8 @@ WcetAnalyzer::missPenalty(MHz f) const
 DMissProfile
 profileDataMisses(const Program &prog, double safety_factor)
 {
-    MainMemory mem;
-    Platform platform;
-    MemController memctrl;
-    mem.loadProgram(prog);
-    SimpleCpu cpu(prog, mem, platform, memctrl);
-    cpu.resetForTask();
+    Rig rig(prog);
+    SimpleCpu &cpu = rig.build<SimpleCpu>();
 
     int subtasks = 1;
     if (!prog.subtaskStarts.empty()) {
@@ -901,7 +898,7 @@ profileDataMisses(const Program &prog, double safety_factor)
 
     std::uint64_t last = 0;
     int cur = 0;
-    platform.onSubtaskBegin = [&](int s) {
+    rig.platform().onSubtaskBegin = [&](int s) {
         std::uint64_t m = cpu.dcache().misses();
         out.missesPerSubtask[static_cast<std::size_t>(cur)] += m - last;
         last = m;

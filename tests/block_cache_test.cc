@@ -217,6 +217,28 @@ TEST(BlockCache, SplitLockstepCacheOnVsOff)
     }
 }
 
+TEST(BlockCache, LockstepInheritsProcessDefault)
+{
+    // --no-block-cache flips the process default; lockstep options that
+    // set neither per-side switch must leave both sides on it.
+    struct RestoreDefault
+    {
+        bool saved = ExecCore::blockCacheDefault();
+        ~RestoreDefault() { ExecCore::setBlockCacheDefault(saved); }
+    } restore;
+    ExecCore::setBlockCacheDefault(false);
+
+    verify::LockstepOptions opts;
+    bool candCached = true;
+    opts.prepareComplex = [&](OooCpu &c) {
+        candCached = c.execCore().blockCacheEnabled();
+    };
+    const verify::GeneratedProgram g =
+        verify::generate(1, verify::GenParams{});
+    EXPECT_TRUE(verify::runLockstep(g.program, opts).equivalent);
+    EXPECT_FALSE(candCached);
+}
+
 TEST(BlockCache, StatsGroupExported)
 {
     auto sim = SimBuilder().workload("cnt").cpu(CpuKind::Simple).build();

@@ -48,7 +48,7 @@ execute_process(
             # analyzer suites. "FreqSpec" matches FreqSpecPin (the EQ 2/
             # EQ 4 solvers over the dense WCET table's rows) and
             # "CoreFixture" the WCET table, EQ 1 and solver unit tests.
-            -R "Differential|differential|Lockstep|Progen|Oracle|Corpus|Scheduler|trace_schema|prof_suite|Prof\\.|inject_suite|Inject\\.|chip_suite|Chip\\.|Assembler|Wcet|ICacheCat|CfgTest|FreqSpec|CoreFixture"
+            -R "Differential|differential|Lockstep|Progen|Oracle|Corpus|Scheduler|trace_schema|prof_suite|Prof\\.|inject_suite|Inject\\.|chip_suite|Chip\\.|Assembler|Wcet|ICacheCat|CfgTest|FreqSpec|CoreFixture|RigPin"
             --output-on-failure
     WORKING_DIRECTORY "${build_dir}"
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)

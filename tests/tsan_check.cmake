@@ -48,7 +48,7 @@ execute_process(
             # 2000-program run is too slow under TSan's ~10x overhead).
             # "bench_gate" stays out (wall-clock thresholds are
             # meaningless when sanitized).
-            -R "chip_suite|Chip\\.|ChipParallel\\.|SchedulerPin\\.|Parallel\\.|differential_nocache"
+            -R "chip_suite|Chip\\.|ChipParallel\\.|SchedulerPin\\.|Parallel\\.|RigPin\\.|differential_nocache"
             --output-on-failure
     WORKING_DIRECTORY "${build_dir}"
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)

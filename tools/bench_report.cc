@@ -198,7 +198,7 @@ std::uint64_t
 runCampaign(const ExperimentSetup &setup, int tasks)
 {
     const RuntimeConfig cfg = setup.runtimeConfig(setup.tightDeadline);
-    Rig<CpuT> rig(setup.wl.program);
+    bench::Rig<CpuT> rig(setup.wl.program);
     RuntimeT rt(*rig.cpu, setup.wl.program, rig.mem, *setup.wcet,
                 setup.dvs, cfg);
     std::uint64_t insts = 0;
@@ -421,7 +421,7 @@ main(int argc, char **argv)
     results.push_back(measure("SimpleCpuRun", reps, [&wl] {
         std::uint64_t insts = 0;
         for (int p = 0; p < 10; ++p) {
-            Rig<SimpleCpu> rig(wl.program);
+            bench::Rig<SimpleCpu> rig(wl.program);
             rig.cpu->run(20'000'000'000ULL);
             insts += rig.cpu->retired();
         }
@@ -431,7 +431,7 @@ main(int argc, char **argv)
     results.push_back(measure("OooCpuRun", reps, [&wl] {
         std::uint64_t insts = 0;
         for (int p = 0; p < 3; ++p) {
-            Rig<OooCpu> rig(wl.program);
+            bench::Rig<OooCpu> rig(wl.program);
             rig.cpu->run(20'000'000'000ULL);
             insts += rig.cpu->retired();
         }
@@ -441,7 +441,7 @@ main(int argc, char **argv)
     results.push_back(measure("OooCpuSimpleMode", reps, [&wl] {
         std::uint64_t insts = 0;
         for (int p = 0; p < 10; ++p) {
-            Rig<OooCpu> rig(wl.program);
+            bench::Rig<OooCpu> rig(wl.program);
             rig.cpu->switchToSimple();
             rig.cpu->run(20'000'000'000ULL);
             insts += rig.cpu->retired();

@@ -66,8 +66,7 @@
 #include <string>
 #include <vector>
 
-#include "cpu/ooo_cpu.hh"
-#include "cpu/simple_cpu.hh"
+#include "cpu/rig.hh"
 #include "isa/assembler.hh"
 #include "sim/cli.hh"
 #include "sim/logging.hh"
@@ -218,12 +217,8 @@ coverageScan(const Options &opts)
         parallelFor(n, [&](std::size_t i) {
             const std::uint64_t seed = opts.seed + base + i;
             const GeneratedProgram g = generate(seed, gen);
-            MainMemory mem;
-            mem.loadProgram(g.program);
-            Platform platform;
-            MemController memctrl;
-            SimpleCpu cpu(g.program, mem, platform, memctrl);
-            cpu.resetForTask();
+            Rig rig(g.program);
+            SimpleCpu &cpu = rig.build<SimpleCpu>();
             prof::BlockProfiler profiler(g.program);
             {
                 prof::ScopedProfiler scope(profiler);
