@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the infrastructure itself:
  * assembler throughput, raw MainMemory access, simulator speed of both
- * pipelines (per simulated instruction/cycle), machine construction
+ * pipelines (per simulated instruction/cycle; the complex pipeline
+ * also per C-lab kernel), machine construction
  * (a bare rig and SimBuilder's Sim), the VisaTimer recurrence, the
  * WCET analyzer, and the frequency-speculation solver (an early-exit
  * solve, a full infeasible scan and set-up's bisection).
@@ -230,6 +231,32 @@ BM_OooCpuSimpleMode(benchmark::State &state)
     }
 }
 BENCHMARK(BM_OooCpuSimpleMode)->Unit(benchmark::kMillisecond);
+
+/**
+ * Complex mode to halt on one kernel from a fresh rig, per retired
+ * instruction: registered once per name in allWorkloadNames(), so the
+ * kernels' ns/inst can be compared with each other.
+ */
+void
+BM_OooCpuKernel(benchmark::State &state, const std::string &name)
+{
+    const Workload &wl = cachedWorkload(name);
+    std::int64_t insts = 0;
+    for (auto _ : state) {
+        bench::Rig<OooCpu> rig(wl.program);
+        rig.cpu->run(20'000'000'000ULL);
+        insts += static_cast<std::int64_t>(rig.cpu->retired());
+        benchmark::DoNotOptimize(rig.cpu->cycles());
+    }
+    state.SetItemsProcessed(insts);    // guest instructions/second
+}
+[[maybe_unused]] const bool oooKernelsRegistered = [] {
+    for (const std::string &name : allWorkloadNames())
+        benchmark::RegisterBenchmark(("BM_OooCpuKernel/" + name).c_str(),
+                                     BM_OooCpuKernel, name)
+            ->Unit(benchmark::kMicrosecond);
+    return true;
+}();
 
 // ---- machine construction ----
 

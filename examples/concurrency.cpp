@@ -15,6 +15,7 @@
 #include <string>
 
 #include "core/concurrency.hh"
+#include "cpu/rig.hh"
 #include "isa/assembler.hh"
 #include "wcet/analyzer.hh"
 #include "workloads/clab.hh"
@@ -64,15 +65,12 @@ main(int argc, char **argv)
                 name.c_str(), cfg.deadlineSeconds * 1e6, periods);
 
     auto run = [&](bool use_complex) {
-        MainMemory mem;
-        Platform plat;
-        MemController mc;
-        mem.loadProgram(wl.program);
+        Rig rig(wl.program);
         BackgroundStats bgstats;
         int dl_misses = 0;
         if (use_complex) {
-            OooCpu cpu(wl.program, mem, plat, mc);
-            VisaComplexRuntime rt(cpu, wl.program, mem, wcet, dvs, cfg);
+            VisaComplexRuntime rt(rig.build<OooCpu>(), wl.program,
+                                  rig.mem(), wcet, dvs, cfg);
             rt.pets().seed(profileComplexAets(wl.program,
                                               wl.numSubtasks));
             SlackScheduler sched(rt, bg, dvs);
@@ -81,8 +79,8 @@ main(int argc, char **argv)
             bgstats = sched.background();
             dl_misses = rt.stats().deadlineMisses;
         } else {
-            SimpleCpu cpu(wl.program, mem, plat, mc);
-            SimpleFixedRuntime rt(cpu, wl.program, mem, wcet, dvs, cfg);
+            SimpleFixedRuntime rt(rig.build<SimpleCpu>(), wl.program,
+                                  rig.mem(), wcet, dvs, cfg);
             SlackScheduler sched(rt, bg, dvs);
             for (int p = 0; p < periods; ++p)
                 sched.runPeriod();

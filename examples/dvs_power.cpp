@@ -13,6 +13,7 @@
 #include <string>
 
 #include "core/runtime.hh"
+#include "cpu/rig.hh"
 #include "power/meter.hh"
 #include "wcet/analyzer.hh"
 #include "workloads/clab.hh"
@@ -41,12 +42,9 @@ main(int argc, char **argv)
                 name.c_str(), cfg.deadlineSeconds * 1e6, tasks);
 
     // --- the VISA-compliant complex processor ---
-    MainMemory cmem;
-    Platform cplat;
-    MemController cmc;
-    cmem.loadProgram(wl.program);
-    OooCpu ooo(wl.program, cmem, cplat, cmc);
-    VisaComplexRuntime crt(ooo, wl.program, cmem, wcet, dvs, cfg);
+    Rig crig(wl.program);
+    OooCpu &ooo = crig.build<OooCpu>();
+    VisaComplexRuntime crt(ooo, wl.program, crig.mem(), wcet, dvs, cfg);
     crt.pets().seed(profileComplexAets(wl.program, wl.numSubtasks));
     PowerMeter cmeter(ooo, complexEnergyModel(), dvs,
                       ClockGating::Perfect);
@@ -66,12 +64,9 @@ main(int argc, char **argv)
     }
 
     // --- the explicitly-safe simple-fixed processor ---
-    MainMemory smem;
-    Platform splat;
-    MemController smc;
-    smem.loadProgram(wl.program);
-    SimpleCpu simple(wl.program, smem, splat, smc);
-    SimpleFixedRuntime srt(simple, wl.program, smem, wcet, dvs, cfg);
+    Rig srig(wl.program);
+    SimpleCpu &simple = srig.build<SimpleCpu>();
+    SimpleFixedRuntime srt(simple, wl.program, srig.mem(), wcet, dvs, cfg);
     PowerMeter smeter(simple, simpleFixedEnergyModel(), dvs,
                       ClockGating::Perfect);
     srt.attachMeter(&smeter);

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "core/runtime.hh"
+#include "cpu/rig.hh"
 #include "wcet/analyzer.hh"
 #include "workloads/clab.hh"
 
@@ -57,12 +58,9 @@ main(int argc, char **argv)
     std::printf("deadline: %.2f us (0.2%% above the tightest "
                 "guaranteeable)\n\n", cfg.deadlineSeconds * 1e6);
 
-    MainMemory mem;
-    Platform plat;
-    MemController mc;
-    mem.loadProgram(wl.program);
-    OooCpu cpu(wl.program, mem, plat, mc);
-    VisaComplexRuntime rt(cpu, wl.program, mem, wcet, dvs, cfg);
+    Rig rig(wl.program);
+    OooCpu &cpu = rig.build<OooCpu>();
+    VisaComplexRuntime rt(cpu, wl.program, rig.mem(), wcet, dvs, cfg);
     rt.pets().seed(profileComplexAets(wl.program, wl.numSubtasks, 1.02));
 
     for (int t = 0; t < 16; ++t) {

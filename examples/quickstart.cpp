@@ -10,12 +10,8 @@
 
 #include <cstdio>
 
-#include "cpu/ooo_cpu.hh"
-#include "cpu/simple_cpu.hh"
+#include "cpu/rig.hh"
 #include "isa/assembler.hh"
-#include "mem/memctrl.hh"
-#include "mem/memory.hh"
-#include "mem/platform.hh"
 #include "wcet/analyzer.hh"
 
 using namespace visa;
@@ -70,14 +66,10 @@ template <typename CpuT>
 std::pair<Cycles, Word>
 runOn(const Program &prog)
 {
-    MainMemory mem;
-    Platform platform;
-    MemController memctrl;
-    mem.loadProgram(prog);
-    CpuT cpu(prog, mem, platform, memctrl);
-    cpu.resetForTask();
+    Rig rig(prog);
+    CpuT &cpu = rig.build<CpuT>();
     cpu.run();
-    return {cpu.cycles(), platform.lastChecksum()};
+    return {cpu.cycles(), rig.platform().lastChecksum()};
 }
 
 } // anonymous namespace

@@ -12,10 +12,7 @@
 #include <map>
 #include <string>
 
-#include "cpu/simple_cpu.hh"
-#include "mem/memctrl.hh"
-#include "mem/memory.hh"
-#include "mem/platform.hh"
+#include "cpu/rig.hh"
 #include "wcet/analyzer.hh"
 #include "workloads/clab.hh"
 
@@ -66,13 +63,8 @@ main(int argc, char **argv)
                 "WCET(us)", "actual(us)", "ratio");
     for (MHz f : {100u, 250u, 500u, 750u, 1000u}) {
         WcetReport rep = analyzer.analyze(f, &dmiss);
-        MainMemory mem;
-        Platform platform;
-        MemController memctrl;
-        mem.loadProgram(wl.program);
-        SimpleCpu cpu(wl.program, mem, platform, memctrl);
-        cpu.resetForTask();
-        cpu.setFrequency(f);
+        Rig rig(wl.program);
+        SimpleCpu &cpu = rig.build<SimpleCpu>(std::nullopt, false, f);
         cpu.run();
         double actual_us =
             static_cast<double>(cpu.cycles()) / (f);

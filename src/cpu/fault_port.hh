@@ -23,7 +23,11 @@
  *    entry whose readyAt has arrived. A nonzero return delays the
  *    entry by that many cycles — a stuck/late wakeup in the
  *    event-driven scheduler. Architecturally silent; only the
- *    watchdog can see it.
+ *    watchdog can see it. A load that then turns out to wait behind
+ *    an older unissued store is parked off the ready list: it is
+ *    offered on the scan that parks it and again from the scan that
+ *    releases it (the one in which the oldest unissued store issues),
+ *    but not on the cycles in between.
  *
  * Simple mode takes no faults by design: it is the trusted fallback
  * the VISA safety argument rests on (paper §2), so the hooks live only

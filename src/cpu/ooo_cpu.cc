@@ -42,6 +42,7 @@ OooCpu::OooCpu(const Program &prog, MainMemory &mem, Platform &platform,
     readyList_.reserve(static_cast<std::size_t>(params_.iqSize));
     wokenBuf_.reserve(static_cast<std::size_t>(params_.iqSize));
     unissuedStoreSeqs_.reserve(static_cast<std::size_t>(params_.lsqSize));
+    parkedLoads_.reserve(static_cast<std::size_t>(params_.lsqSize));
 }
 
 void
@@ -72,6 +73,7 @@ OooCpu::resetForTask()
     wokenBuf_.clear();
     issueEvent_ = noCycleLimit;
     unissuedStoreSeqs_.clear();
+    parkedLoads_.clear();
     storeHead_ = storeCount_ = 0;
     missFillTimes_.clear();
     lastMshrTraced_ = -1;
@@ -391,7 +393,8 @@ OooCpu::issueStage()
     // to the historical "dispatchCycle < cycle_ && sourcesReady(e)"
     // poll, so issue order, width accounting, and all structural gating
     // are identical to the full unissued-entry walk — this only skips
-    // entries that walk would have rejected via sourcesReady().
+    // entries that walk would have rejected via sourcesReady(), and the
+    // parked loads it would have rejected via olderStoresIssued().
     int issued = 0;
     int misses_outstanding = outstandingLoadMisses();
     issueEvent_ = noCycleLimit;
@@ -402,12 +405,13 @@ OooCpu::issueStage()
     std::uint64_t reg_writes = 0;
     const int issue_width = params_.issueWidth;
     const int dcache_ports = params_.dcachePorts;
-    const std::size_t n = readyList_.size();
+    std::size_t n = readyList_.size();
     // Unissued entries cannot retire, so everything on readyList_ (and
     // every waiter, which is younger still) is in the ROB, and the head
     // is fixed for the whole stage: slot lookup is arithmetic off these
     // two values, not a findBySeq() whose front load the compiler must
-    // repeat after every ROB store. Unused (garbage) when n == 0.
+    // repeat after every ROB store. Parked loads are in the ROB for the
+    // same reason. Unused (garbage) when n == 0.
     const std::uint64_t head_seq = rob_[robHead_].seq;
     const std::size_t head_idx = robHead_;
 #if VISA_INJECT
@@ -496,17 +500,37 @@ OooCpu::issueStage()
                                 do_issue = true;
                             }
                         }
+                    } else {
+                        // Park it: the walk would only reject it again
+                        // every cycle until the oldest unissued store
+                        // issues, and that store's issue releases it.
+                        parkedLoads_.insert(
+                            std::lower_bound(parkedLoads_.begin(),
+                                             parkedLoads_.end(), seq),
+                            seq);
+                        continue;
                     }
                 } else {
                     // Stores compute their address and sit in the LSQ;
                     // the data cache is written at retire. Erasing here
-                    // (mid-scan) lets a younger ready load issue in the
-                    // same cycle, as the seq-ordered poll did.
+                    // (mid-scan) and releasing the loads it unblocks
+                    // into the unscanned tail lets a younger load issue
+                    // in the same cycle, as the seq-ordered poll did.
                     e.completeCycle = cycle_ + 1;
                     ++lsq_accesses;
                     unissuedStoreSeqs_.erase(
                         std::lower_bound(unissuedStoreSeqs_.begin(),
                                          unissuedStoreSeqs_.end(), seq));
+                    if (!parkedLoads_.empty()) {
+                        const std::uint64_t bound =
+                            unissuedStoreSeqs_.empty()
+                                ? ~std::uint64_t{0}
+                                : unissuedStoreSeqs_.front();
+                        if (parkedLoads_.front() < bound) {
+                            releaseParkedLoads(bound, i + 1);
+                            n = readyList_.size();
+                        }
+                    }
                     do_issue = true;
                 }
             } else {
@@ -517,7 +541,7 @@ OooCpu::issueStage()
 
         if (!do_issue) {
             // Issuable now but structurally blocked (width, ports,
-            // MSHRs, store ordering): retry next cycle.
+            // MSHRs): retry next cycle.
             if (cycle_ + 1 < issueEvent_)
                 issueEvent_ = cycle_ + 1;
             readyList_[keep++] = seq;
@@ -571,6 +595,27 @@ OooCpu::issueStage()
         activity_.add(Unit::DCache, dcache_accesses);
     }
     return issued;
+}
+
+void
+OooCpu::releaseParkedLoads(std::uint64_t bound, std::size_t from)
+{
+    // Every parked load is younger than the store issuing at from - 1,
+    // so all of them belong in the tail. Merge backwards in place: both
+    // runs are sorted and the capacity (iqSize) already fits them.
+    const auto mid =
+        std::lower_bound(parkedLoads_.begin(), parkedLoads_.end(), bound);
+    std::size_t b = static_cast<std::size_t>(mid - parkedLoads_.begin());
+    std::size_t a = readyList_.size();
+    std::size_t w = a + b;
+    readyList_.resize(w);
+    while (b > 0) {
+        if (a > from && readyList_[a - 1] > parkedLoads_[b - 1])
+            readyList_[--w] = readyList_[--a];
+        else
+            readyList_[--w] = parkedLoads_[--b];
+    }
+    parkedLoads_.erase(parkedLoads_.begin(), mid);
 }
 
 int
@@ -634,8 +679,12 @@ OooCpu::nextEventCycle(bool fetching) const
                 next = t;
         }
         // An unissued head has pending == 0 (its producers, being
-        // older, all issued), so it is on readyList_ and issueEvent_
-        // covers it.
+        // older, all issued) and no older store to wait behind, so it
+        // is on readyList_, never parked, and issueEvent_ covers it.
+        // Parked loads schedule nothing: each has an older unissued
+        // store whose issue releases it, and that store's issue is an
+        // event (it is on readyList_, or waits on a producer that is,
+        // or — the same argument, for an older entry — will be).
     }
     if (issueEvent_ < next)
         next = issueEvent_;    // always > cycle_ by construction
@@ -664,6 +713,33 @@ OooCpu::nextEventCycle(bool fetching) const
             next = t;
         // A full fetch queue drains at the next dispatch, covered
         // above; fetch runs after dispatch in that same cycle.
+    }
+    return next;
+}
+
+Cycles
+OooCpu::idleNextEvent(bool fetching) const
+{
+    const Cycles next = nextEventCycle(fetching);
+    if (next == noCycleLimit && (robCount_ > 0 || fqCount_ > 0))
+        [[unlikely]] {
+        const RobEntry &h = robFront();
+        const std::string head =
+            robCount_ > 0
+                ? strprintf("ROB head seq %llu pc 0x%x issued %d",
+                            static_cast<unsigned long long>(h.seq),
+                            h.info.pc, h.issued ? 1 : 0)
+                : "ROB empty";
+        const std::string store =
+            unissuedStoreSeqs_.empty()
+                ? "none"
+                : strprintf("seq %llu", static_cast<unsigned long long>(
+                                            unissuedStoreSeqs_.front()));
+        fatal("complex core made no progress at cycle %llu and has no "
+              "event scheduled: %s, %zu in the fetch queue, %zu parked "
+              "loads, oldest unissued store %s",
+              static_cast<unsigned long long>(cycle_), head.c_str(),
+              fqCount_, parkedLoads_.size(), store.c_str());
     }
     return next;
 }
@@ -712,7 +788,7 @@ OooCpu::runComplex(Cycles budget_end)
         auto t = tickTo(cycle_);
         bool expired = t.expired;
         if (!expired && work == 0)
-            expired = skipIdleCycles(nextEventCycle(true), budget_end);
+            expired = skipIdleCycles(idleNextEvent(true), budget_end);
         if (expired) {
             DPRINTF("Watchdog", "expired at cycle %llu (sub-task %d)\n",
                     static_cast<unsigned long long>(cycle_),
@@ -742,7 +818,7 @@ OooCpu::switchToSimple()
         work += dispatchStage();
         tickTo(cycle_);
         if (work == 0)
-            skipIdleCycles(nextEventCycle(false), noCycleLimit);
+            skipIdleCycles(idleNextEvent(false), noCycleLimit);
     }
     DPRINTF("Mode", "drained at cycle %llu; entering simple mode\n",
             static_cast<unsigned long long>(cycle_));
@@ -777,7 +853,7 @@ OooCpu::drainForPreemption()
         auto t = tickTo(cycle_);
         bool expired = t.expired;
         if (!expired && work == 0)
-            expired = skipIdleCycles(nextEventCycle(false), noCycleLimit);
+            expired = skipIdleCycles(idleNextEvent(false), noCycleLimit);
         if (expired) {
             // The missed-checkpoint exception preempts the preemption:
             // recovery (which drains the rest) must run first.

@@ -27,13 +27,14 @@
  * "Event-driven complex core"): completing instructions wake their
  * consumers through per-entry waiter lists instead of the issue stage
  * polling every unissued entry, the ROB and fetch queue are fixed ring
- * buffers with O(1) seq indexing, and cycles in which no stage can do
- * anything are skipped in one jump to the next scheduled event. The
- * model is cycle-for-cycle identical to the historical per-cycle
- * stepper, which is preserved as verify::RefOooCpu and cross-checked
- * continuously by the timing-equivalence oracle
- * (verify/timing_cross.hh) and the golden cycle-count table
- * (tests/timing_golden_test.cc).
+ * buffers with O(1) seq indexing, loads that wait behind an older
+ * unissued store are parked until that store issues, and cycles in
+ * which no stage can do anything are skipped in one jump to the next
+ * scheduled event. The model is cycle-for-cycle identical to the
+ * historical per-cycle stepper, which is preserved as
+ * verify::RefOooCpu and cross-checked continuously by the
+ * timing-equivalence oracle (verify/timing_cross.hh) and the golden
+ * cycle-count table (tests/timing_golden_test.cc).
  */
 
 #ifndef VISA_CPU_OOO_CPU_HH
@@ -212,6 +213,22 @@ class OooCpu final : public Cpu
     Cycles nextEventCycle(bool fetching) const;
 
     /**
+     * nextEventCycle() for a cycle in which no stage did any work,
+     * with the step loops' forward-progress guard: finding no event
+     * while the ROB or fetch queue still holds entries means the
+     * machine can never move again, so this raises a FatalError naming
+     * the stuck state instead of letting the loop step (or, in the
+     * drains, spin) without end.
+     */
+    Cycles idleNextEvent(bool fetching) const;
+
+    /**
+     * Move the parked loads older than @p bound back onto readyList_,
+     * merged in seq order into its unscanned tail [@p from, end).
+     */
+    void releaseParkedLoads(std::uint64_t bound, std::size_t from);
+
+    /**
      * Advance cycle_ to the cycle before @p next (clamped to
      * @p budget_end and, when the watchdog is live, to its expiry
      * cycle), ticking the platform across the whole span at once.
@@ -316,14 +333,24 @@ class OooCpu final : public Cpu
 
     /**
      * Data-ready, unissued entries in program (seq) order: exactly the
-     * entries whose pending count is zero. The issue stage scans only
-     * this list — the wakeup-list replacement for the historical
-     * sourcesReady() poll over every unissued entry. Entries stay
-     * until they issue (structural stalls keep them here); a ready
-     * entry whose readyAt is still in the future is skipped until that
-     * cycle arrives.
+     * entries whose pending count is zero, less the parked loads. The
+     * issue stage scans only this list — the wakeup-list replacement
+     * for the historical sourcesReady() poll over every unissued
+     * entry. Entries stay until they issue (width, port and MSHR
+     * stalls keep them here; a load blocked by an older unissued store
+     * moves to parkedLoads_); a ready entry whose readyAt is still in
+     * the future is skipped until that cycle arrives.
      */
     std::vector<std::uint64_t> readyList_;
+    /**
+     * Loads that reached the issue stage (readyAt arrived, inside the
+     * issue width) but wait behind an older unissued store, ascending
+     * seq. Off readyList_ they are neither rescanned nor an event;
+     * they rejoin it when the store at the front of
+     * unissuedStoreSeqs_ issues. Invariants: every parked load has an
+     * older unissued store, so an unissued ROB head is never parked.
+     */
+    std::vector<std::uint64_t> parkedLoads_;
     /** Consumers woken mid-scan; merged into readyList_ after it. */
     std::vector<std::uint64_t> wokenBuf_;
     /**

@@ -7,6 +7,10 @@
  * VISA's single outstanding request.
  */
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "tests/test_util.hh"
@@ -250,6 +254,73 @@ buf:    .space 1024
     OooMachine m(src);
     m.run();
     EXPECT_FALSE(m.cpu->dcache().probe(m.prog.symbol("buf") + 512));
+}
+
+/**
+ * A fault port that injects nothing and records what it is offered:
+ * the pc of every executed sequence number and every (seq, cycle)
+ * issue offer.
+ */
+class OfferLog final : public FaultPort
+{
+  public:
+    void
+    onExecute(ExecCore &, MainMemory &, ExecInfo &info, std::uint64_t seq,
+              Cycles) override
+    {
+        pcOf[seq] = info.pc;
+    }
+
+    Cycles
+    onIssueReady(std::uint64_t seq, Cycles cycle) override
+    {
+        offers.emplace_back(seq, cycle);
+        return 0;
+    }
+
+    /** The cycles at which the instruction at @p pc was offered. */
+    std::vector<Cycles>
+    offersAt(Addr pc) const
+    {
+        std::vector<Cycles> out;
+        for (const auto &[seq, cycle] : offers)
+            if (pcOf.at(seq) == pc)
+                out.push_back(cycle);
+        return out;
+    }
+
+    std::map<std::uint64_t, Addr> pcOf;
+    std::vector<std::pair<std::uint64_t, Cycles>> offers;
+};
+
+TEST(OooStructures, StoreBlockedLoadOfferedWhenParkedAndReleased)
+{
+    // A load that waits behind an older unissued store is offered to
+    // the fault port on the scan that parks it and again from the scan
+    // that releases it, never on the cycles in between
+    // (cpu/fault_port.hh). Here the store's data comes from a 35-cycle
+    // divide while the load's address is ready almost at once.
+    const char *src = R"(
+        la  r4, buf
+        div r5, r6, r7          # 35 cycles
+st:     sw  r5, 0(r4)           # store data waits on the divide
+ld:     lw  r9, 64(r4)          # younger load of another word
+        halt
+        .data
+buf:    .space 128
+    )";
+    OooMachine m(src);
+    OfferLog log;
+    m.cpu->setFaultPort(&log);
+    m.run();
+    const std::vector<Cycles> store = log.offersAt(m.prog.symbol("st"));
+    const std::vector<Cycles> load = log.offersAt(m.prog.symbol("ld"));
+    ASSERT_EQ(store.size(), 1u);    // issues on its first offer
+    ASSERT_EQ(load.size(), 2u);
+    // Parked on its first offer, while the divide still runs ...
+    EXPECT_GE(store[0], load[0] + 30);
+    // ... and offered again in the scan in which the store issues.
+    EXPECT_EQ(load[1], store[0]);
 }
 
 } // anonymous namespace

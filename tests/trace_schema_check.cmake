@@ -1,9 +1,9 @@
 # End-to-end check of the tracing pipeline, run as a ctest entry (and
 # therefore also under the ASan/UBSan debug preset):
 #
-#   1. visa-sim runs a small VISA campaign with induced mispredictions
-#      at the fig4-style minimum deadline, recording a Chrome trace, a
-#      JSONL trace, and a hierarchical stats JSON;
+#   1. visa-sim runs a small VISA campaign of TASKS tasks with induced
+#      mispredictions at the fig4-style minimum deadline, recording a
+#      Chrome trace, a JSONL trace, and a hierarchical stats JSON;
 #   2. visa-trace --validate schema-checks both trace formats against
 #      the event-kind table;
 #   3. visa-trace summarizes the JSONL trace (slack, margins, residency)
@@ -15,10 +15,10 @@
 #   5. a handcrafted schema-2 file must be rejected with the pointer at
 #      re-recording (schema 3 is the only readable format).
 #
-# Expects -DVISA_SIM=..., -DVISA_TRACE=..., -DVISA_FUZZ=...,
+# Expects -DVISA_SIM=..., -DVISA_TRACE=..., -DVISA_FUZZ=..., -DTASKS=...,
 # -DWORK_DIR=...
 
-foreach(var VISA_SIM VISA_TRACE VISA_FUZZ WORK_DIR)
+foreach(var VISA_SIM VISA_TRACE VISA_FUZZ TASKS WORK_DIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "trace_schema_check.cmake: ${var} not set")
     endif()
@@ -30,7 +30,7 @@ set(jsonl "${WORK_DIR}/trace.jsonl")
 set(stats "${WORK_DIR}/stats.json")
 
 execute_process(
-    COMMAND "${VISA_SIM}" --runtime visa --workload cnt --tasks 60
+    COMMAND "${VISA_SIM}" --runtime visa --workload cnt --tasks ${TASKS}
             --induce-every 7 --deadline min
             --trace "${chrome}" --trace-jsonl "${jsonl}"
             --trace-buffer 4194304 --stats-json "${stats}"
