@@ -5,8 +5,10 @@
  * pipelines (per simulated instruction/cycle; the complex pipeline
  * also per C-lab kernel), machine construction
  * (a bare rig and SimBuilder's Sim), the VisaTimer recurrence, the
- * WCET analyzer, and the frequency-speculation solver (an early-exit
- * solve, a full infeasible scan and set-up's bisection).
+ * WCET analyzer, the frequency-speculation solver (an early-exit
+ * solve, a full infeasible scan and set-up's bisection), and the fuzz
+ * campaign's fixed cost per generated program (generation alone, and
+ * generation plus the lockstep check).
  */
 
 #include <benchmark/benchmark.h>
@@ -14,6 +16,7 @@
 #include "bench/bench_util.hh"
 #include "cpu/visa_timing.hh"
 #include "isa/assembler.hh"
+#include "verify/lockstep.hh"
 #include "verify/progen.hh"
 
 using namespace visa;
@@ -398,6 +401,55 @@ BM_FreqSpecBisection(benchmark::State &state)
             minGuaranteeableDeadline(wcet, dvs, pet_seed, cfg));
 }
 BENCHMARK(BM_FreqSpecBisection);
+
+// ---- the fuzz campaign's cost per generated program ----
+
+constexpr verify::GenProfile kGenProfiles[] = {
+    verify::GenProfile::Alu, verify::GenProfile::Branch,
+    verify::GenProfile::Memory, verify::GenProfile::Mixed};
+
+/** Generate (source and program) one plain program of @p profile. */
+void
+BM_ProgenGenerate(benchmark::State &state, verify::GenProfile profile)
+{
+    verify::GenParams params;
+    params.profile = profile;
+    std::uint64_t seed = 0;
+    for (auto _ : state) {
+        const verify::GeneratedProgram g = verify::generate(++seed, params);
+        benchmark::DoNotOptimize(g.program.words.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(seed));  // programs
+}
+[[maybe_unused]] const bool progenRegistered = [] {
+    for (verify::GenProfile p : kGenProfiles)
+        benchmark::RegisterBenchmark(
+            ("BM_ProgenGenerate/" + std::string(verify::profileName(p)))
+                .c_str(),
+            BM_ProgenGenerate, p)
+            ->Unit(benchmark::kMicrosecond);
+    return true;
+}();
+
+/**
+ * One fuzz_verify unit: generate a plain program and lockstep-check
+ * both pipelines on it, the profiles in rotation as the benchmark's
+ * round draws them.
+ */
+void
+BM_FuzzUnit(benchmark::State &state)
+{
+    std::uint64_t n = 0;
+    for (auto _ : state) {
+        verify::GenParams params;
+        params.profile = kGenProfiles[n % std::size(kGenProfiles)];
+        const verify::GeneratedProgram g = verify::generate(++n, params);
+        const verify::LockstepResult r = verify::runLockstep(g.program);
+        benchmark::DoNotOptimize(r.instructions);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(n));  // programs
+}
+BENCHMARK(BM_FuzzUnit)->Unit(benchmark::kMicrosecond);
 
 } // anonymous namespace
 

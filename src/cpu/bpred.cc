@@ -51,8 +51,7 @@ Gshare::flush()
 }
 
 IndirectPredictor::IndirectPredictor(unsigned log2_entries)
-    : log2Entries_(log2_entries),
-      table_(1u << log2_entries, 0)
+    : log2Entries_(log2_entries)
 {
 }
 
@@ -65,12 +64,14 @@ IndirectPredictor::index(Addr pc) const
 Addr
 IndirectPredictor::predict(Addr pc) const
 {
-    return table_[index(pc)];
+    return table_.empty() ? 0 : table_[index(pc)];
 }
 
 bool
 IndirectPredictor::update(Addr pc, Addr target)
 {
+    if (table_.empty())
+        table_.assign(std::size_t{1} << log2Entries_, 0);
     std::uint32_t idx = index(pc);
     bool correct = table_[idx] == target;
     table_[idx] = target;
@@ -80,7 +81,7 @@ IndirectPredictor::update(Addr pc, Addr target)
 void
 IndirectPredictor::flush()
 {
-    std::fill(table_.begin(), table_.end(), 0);
+    table_ = std::vector<Addr>();
 }
 
 } // namespace visa

@@ -63,7 +63,10 @@ class Gshare
 
 /**
  * Tagless indirect-target table, indexed like gshare: predicts the
- * target of JR/JALR in complex mode.
+ * target of JR/JALR in complex mode. The table (256 KB at the default
+ * 2^16 entries) is allocated on the first update(): until then every
+ * entry reads as 0, so a machine that never trains it (most tasks have
+ * no indirect jump) never pays for it.
  */
 class IndirectPredictor
 {
@@ -79,13 +82,14 @@ class IndirectPredictor
      */
     bool update(Addr pc, Addr target);
 
+    /** Forget every target (releases the table). */
     void flush();
 
   private:
     std::uint32_t index(Addr pc) const;
 
     unsigned log2Entries_;
-    std::vector<Addr> table_;
+    std::vector<Addr> table_;    ///< empty: every entry still 0
 };
 
 } // namespace visa

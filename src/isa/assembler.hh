@@ -1,8 +1,9 @@
 /**
  * @file
- * A two-pass assembler for VPISA text: one scan over the source lines
- * records instructions and labels, then symbols are resolved and the
- * instructions encoded.
+ * The assembler's text front end: one scan splits each source line into
+ * labels, a head and operand tokens and hands them to the assembler's
+ * back end (isa/asm_backend.hh), which records instructions and labels,
+ * then resolves symbols and encodes the instructions.
  *
  * Supported syntax (one statement per line, '#' or ';' comments):
  *

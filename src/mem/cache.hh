@@ -129,11 +129,16 @@ class Cache
     }
 
   private:
+    /**
+     * One tag line. Trivial on purpose: value-initialization (the
+     * constructor's resize) zero-fills the whole array at once, and
+     * all-zero is the invalid line.
+     */
     struct Line
     {
-        bool valid = false;
-        Addr tag = 0;
-        std::uint64_t lruStamp = 0;
+        bool valid;
+        Addr tag;
+        std::uint64_t lruStamp;
     };
 
     /** Pick the victim way in @p ways per the configured policy. */

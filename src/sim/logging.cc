@@ -55,16 +55,6 @@ warn(const char *fmt, ...)
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
-void
-inform(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
 std::string
 strprintf(const char *fmt, ...)
 {

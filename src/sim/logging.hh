@@ -1,7 +1,7 @@
 /**
  * @file
  * Minimal gem5-style logging: panic/fatal for bugs vs user errors,
- * warn/inform for status, and compile-time-cheap debug tracing gated on
+ * warn for status, and compile-time-cheap debug tracing gated on
  * named flags.
  */
 
@@ -50,9 +50,6 @@ class PanicError : public std::logic_error
 
 /** Print a warning; does not stop the simulation. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Print an informational message. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** printf into a string sized to fit (reports, error messages). */
 std::string strprintf(const char *fmt, ...)

@@ -73,13 +73,6 @@ FaultInjector::FaultInjector(const FaultSpec &spec)
 {
 }
 
-void
-FaultInjector::reset()
-{
-    rec_ = FaultRecord{};
-    executed_ = 0;
-}
-
 bool
 FaultInjector::armed(Cycles cycle) const
 {

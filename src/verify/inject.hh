@@ -135,9 +135,6 @@ class FaultInjector final : public FaultPort
     const FaultSpec &spec() const { return spec_; }
     const FaultRecord &record() const { return rec_; }
 
-    /** Forget all state (for back-to-back runs on one injector). */
-    void reset();
-
   private:
     bool armed(Cycles cycle) const;
     /** @return true if the fault was applied to this instruction. */

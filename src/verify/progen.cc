@@ -4,7 +4,6 @@
 #include <array>
 #include <cstring>
 
-#include "isa/assembler.hh"
 #include "sim/logging.hh"
 #include "workloads/asm_builder.hh"
 
@@ -92,6 +91,20 @@ weightsFor(GenProfile p)
     return Weights{};
 }
 
+using Op = AsmOperand;
+
+Op ir(int n) { return Op::intReg(n); }
+Op fr(int n) { return Op::fpReg(n); }
+Op imm(std::int64_t v) { return Op::imm(v); }
+/** A scratch-window access at byte offset @p off. */
+Op scratchAt(int off) { return Op::mem(off, baseReg); }
+
+/**
+ * The generator. Where one statement draws several random values, each
+ * is drawn into a named local in a fixed order (last operand first,
+ * the order every seed's program was first generated in), never inside
+ * a call's argument list, whose evaluation order C++ leaves open.
+ */
 struct Gen
 {
     Gen(std::uint64_t seed, const GenParams &p)
@@ -122,16 +135,34 @@ struct Gen
         return std::string(stem) + std::to_string(labelN++);
     }
 
+    /** op rd, rs, rt over the value pool, drawn rt first. */
+    void
+    poolRrr(std::string_view op)
+    {
+        const int rt = pool();
+        const int rs = pool();
+        const int rd = pool();
+        b.inst(op, {ir(rd), ir(rs), ir(rt)});
+    }
+
+    /** op rd, rs, @p v over the value pool, drawn rs first. */
+    void
+    poolRri(std::string_view op, std::int32_t v)
+    {
+        const int rs = pool();
+        const int rd = pool();
+        b.inst(op, {ir(rd), ir(rs), imm(v)});
+    }
+
     // ---- single-instruction statements ----
 
     void
     aluReg()
     {
-        static const char *ops[] = {"add", "sub", "mul", "div", "rem",
-                                    "and", "or",  "xor", "nor", "slt",
-                                    "sltu", "sllv", "srlv", "srav"};
-        const char *op = ops[rng.range(0, 13)];
-        b.ins("%s r%d, r%d, r%d", op, pool(), pool(), pool());
+        static constexpr std::string_view ops[] = {
+            "add", "sub", "mul", "div", "rem", "and", "or",
+            "xor", "nor", "slt", "sltu", "sllv", "srlv", "srav"};
+        poolRrr(ops[rng.range(0, 13)]);
         cost(1);
     }
 
@@ -139,33 +170,25 @@ struct Gen
     aluImm()
     {
         switch (rng.range(0, 7)) {
-          case 0:
-            b.ins("sll r%d, r%d, %d", pool(), pool(), rng.range(0, 31));
-            break;
-          case 1:
-            b.ins("srl r%d, r%d, %d", pool(), pool(), rng.range(0, 31));
-            break;
-          case 2:
-            b.ins("sra r%d, r%d, %d", pool(), pool(), rng.range(0, 31));
-            break;
-          case 3:
-            b.ins("addi r%d, r%d, %d", pool(), pool(),
-                  rng.range(-256, 255));
-            break;
+          case 0: poolRri("sll", rng.range(0, 31)); break;
+          case 1: poolRri("srl", rng.range(0, 31)); break;
+          case 2: poolRri("sra", rng.range(0, 31)); break;
+          case 3: poolRri("addi", rng.range(-256, 255)); break;
           case 4: {
-            static const char *ops[] = {"andi", "ori", "xori"};
-            b.ins("%s r%d, r%d, %d", ops[rng.range(0, 2)], pool(), pool(),
-                  rng.range(0, 4095));
+            static constexpr std::string_view ops[] = {"andi", "ori",
+                                                       "xori"};
+            const std::int32_t v = rng.range(0, 4095);
+            const int rs = pool();
+            const int rd = pool();
+            b.inst(ops[rng.range(0, 2)], {ir(rd), ir(rs), imm(v)});
             break;
           }
-          case 5:
-            b.ins("slti r%d, r%d, %d", pool(), pool(), rng.range(-256, 255));
-            break;
-          case 6:
-            b.ins("sltiu r%d, r%d, %d", pool(), pool(), rng.range(0, 511));
-            break;
-          default:
-            b.ins("lui r%d, %d", pool(), rng.range(0, 65535));
+          case 5: poolRri("slti", rng.range(-256, 255)); break;
+          case 6: poolRri("sltiu", rng.range(0, 511)); break;
+          default: {
+            const std::int32_t v = rng.range(0, 65535);
+            b.inst("lui", {ir(pool()), imm(v)});
+          }
         }
         cost(1);
     }
@@ -176,13 +199,19 @@ struct Gen
         // No cvt.w.d here: unconstrained doubles can exceed the int32
         // range and the conversion would be host UB (flagged under
         // UBSan); cvt.w.d coverage lives in the directed ISA tests.
-        static const char *two[] = {"add.d", "sub.d", "mul.d", "div.d"};
+        static constexpr std::string_view two[] = {"add.d", "sub.d",
+                                                   "mul.d", "div.d"};
         if (rng.range(0, 3) == 0) {
-            static const char *one[] = {"neg.d", "abs.d", "mov.d"};
-            b.ins("%s f%d, f%d", one[rng.range(0, 2)], fpool(), fpool());
+            static constexpr std::string_view one[] = {"neg.d", "abs.d",
+                                                       "mov.d"};
+            const int fs = fpool();
+            const int fd = fpool();
+            b.inst(one[rng.range(0, 2)], {fr(fd), fr(fs)});
         } else {
-            b.ins("%s f%d, f%d, f%d", two[rng.range(0, 3)], fpool(),
-                  fpool(), fpool());
+            const int ft = fpool();
+            const int fs = fpool();
+            const int fd = fpool();
+            b.inst(two[rng.range(0, 3)], {fr(fd), fr(fs), fr(ft)});
         }
         cost(1);
     }
@@ -190,8 +219,11 @@ struct Gen
     void
     fpCmp()
     {
-        static const char *ops[] = {"c.eq.d", "c.lt.d", "c.le.d"};
-        b.ins("%s f%d, f%d", ops[rng.range(0, 2)], fpool(), fpool());
+        static constexpr std::string_view ops[] = {"c.eq.d", "c.lt.d",
+                                                   "c.le.d"};
+        const int ft = fpool();
+        const int fs = fpool();
+        b.inst(ops[rng.range(0, 2)], {fr(fs), fr(ft)});
         cost(1);
     }
 
@@ -202,42 +234,48 @@ struct Gen
         return rng.range(0, scratchBytes / width - 1) * width;
     }
 
+    /** op rt, off(base) with the offset drawn first. */
+    void
+    scratchAccess(std::string_view op, int width)
+    {
+        const int off = scratchOff(width);
+        b.inst(op, {ir(pool()), scratchAt(off)});
+    }
+
     void
     load()
     {
-        static const char *ops[] = {"lb", "lbu", "lh", "lhu", "lw"};
-        static const int widths[] = {1, 1, 2, 2, 4};
-        int k = rng.range(0, 4);
-        b.ins("%s r%d, %d(r%d)", ops[k], pool(), scratchOff(widths[k]),
-              baseReg);
+        static constexpr std::string_view ops[] = {"lb", "lbu", "lh", "lhu",
+                                                   "lw"};
+        static constexpr int widths[] = {1, 1, 2, 2, 4};
+        const int k = rng.range(0, 4);
+        scratchAccess(ops[k], widths[k]);
         cost(1);
     }
 
     void
     store()
     {
-        static const char *ops[] = {"sb", "sh", "sw"};
-        static const int widths[] = {1, 2, 4};
-        int k = rng.range(0, 2);
-        b.ins("%s r%d, %d(r%d)", ops[k], pool(), scratchOff(widths[k]),
-              baseReg);
+        static constexpr std::string_view ops[] = {"sb", "sh", "sw"};
+        static constexpr int widths[] = {1, 2, 4};
+        const int k = rng.range(0, 2);
+        scratchAccess(ops[k], widths[k]);
         cost(1);
     }
 
     void
     fpMem()
     {
-        if (rng.range(0, 1))
-            b.ins("ldc1 f%d, %d(r%d)", fpool(), scratchOff(8), baseReg);
-        else
-            b.ins("sdc1 f%d, %d(r%d)", fpool(), scratchOff(8), baseReg);
+        const std::string_view op = rng.range(0, 1) ? "ldc1" : "sdc1";
+        const int off = scratchOff(8);
+        b.inst(op, {fr(fpool()), scratchAt(off)});
         cost(1);
     }
 
     void
     mix()
     {
-        b.ins("xor r%d, r%d, r%d", ckReg, ckReg, pool());
+        b.inst("xor", {ir(ckReg), ir(ckReg), ir(pool())});
         cost(1);
     }
 
@@ -247,31 +285,18 @@ struct Gen
     void
     fwdBranch(const Weights &w)
     {
-        std::string skip = newLabel("Lskip");
-        switch (rng.range(0, w[KFp] > 0 || w[KFpCmp] > 0 ? 7 : 5)) {
-          case 0:
-            b.ins("beq r%d, r%d, %s", pool(), pool(), skip.c_str());
-            break;
-          case 1:
-            b.ins("bne r%d, r%d, %s", pool(), pool(), skip.c_str());
-            break;
-          case 2:
-            b.ins("blez r%d, %s", pool(), skip.c_str());
-            break;
-          case 3:
-            b.ins("bgtz r%d, %s", pool(), skip.c_str());
-            break;
-          case 4:
-            b.ins("bltz r%d, %s", pool(), skip.c_str());
-            break;
-          case 5:
-            b.ins("bgez r%d, %s", pool(), skip.c_str());
-            break;
-          case 6:
-            b.ins("bc1t %s", skip.c_str());
-            break;
-          default:
-            b.ins("bc1f %s", skip.c_str());
+        static constexpr std::string_view ops[] = {
+            "beq", "bne", "blez", "bgtz", "bltz", "bgez", "bc1t", "bc1f"};
+        const std::string skip = newLabel("Lskip");
+        const int k = rng.range(0, w[KFp] > 0 || w[KFpCmp] > 0 ? 7 : 5);
+        if (k < 2) {
+            const int rt = pool();
+            const int rs = pool();
+            b.inst(ops[k], {ir(rs), ir(rt), Op::sym(skip)});
+        } else if (k < 6) {
+            b.inst(ops[k], {ir(pool()), Op::sym(skip)});
+        } else {
+            b.inst(ops[k], {Op::sym(skip)});
         }
         cost(1);
         // The skipped statements are charged unconditionally: the
@@ -299,17 +324,17 @@ struct Gen
             return;
         }
         const int rc = loopReg0 + depth;
-        std::string head = newLabel("Lloop");
-        b.ins("li r%d, %d", rc, bound);
+        const std::string head = newLabel("Lloop");
+        b.inst("li", {ir(rc), imm(bound)});
         cost(1);
         b.label(head);
         ++depth;
         weight *= static_cast<std::uint64_t>(bound);
         for (int i = 0; i < bodyStmts; ++i)
             statement(w, /*inLoop=*/true);
-        b.ins("subi r%d, r%d, 1", rc, rc);
-        b.ins(".loopbound %d", bound);
-        b.ins("bgtz r%d, %s", rc, head.c_str());
+        b.inst("subi", {ir(rc), ir(rc), imm(1)});
+        b.inst(".loopbound", {imm(bound)});
+        b.inst("bgtz", {ir(rc), Op::sym(head)});
         cost(2);
         weight /= static_cast<std::uint64_t>(bound);
         --depth;
@@ -323,7 +348,7 @@ struct Gen
             return;
         }
         int k = rng.range(0, static_cast<std::int32_t>(funcCost.size()) - 1);
-        b.ins("jal Lfunc%d", k);
+        b.inst("jal", {Op::sym("Lfunc" + std::to_string(k))});
         dyn += (1 + funcCost[static_cast<std::size_t>(k)]) * weight;
     }
 
@@ -387,23 +412,23 @@ struct Gen
     void
     prologue(bool useFp)
     {
-        b.ins("la r%d, scratch", baseReg);
+        b.inst("la", {ir(baseReg), Op::sym("scratch")});
         cost(2);
         if (useFp) {
             for (int f = fpoolLo; f <= fpoolHi; ++f) {
-                b.ins("li r2, %d", rng.range(-9999, 9999));
-                b.ins("cvt.d.w f%d, r2", f);
+                b.inst("li", {ir(2), imm(rng.range(-9999, 9999))});
+                b.inst("cvt.d.w", {fr(f), ir(2)});
                 cost(3);
             }
         }
         for (int r = poolLo; r <= poolHi; ++r) {
-            b.ins("li r%d, %d",
-                  r, static_cast<std::int32_t>(rng.next() & 0x7FFFFFFF) -
-                         0x3FFFFFFF);
+            b.inst("li", {ir(r), imm(static_cast<std::int32_t>(
+                                          rng.next() & 0x7FFFFFFF) -
+                                      0x3FFFFFFF)});
             cost(2);
         }
-        b.ins("li r%d, %d", ckReg,
-              static_cast<std::int32_t>(rng.next() & 0xFFFF));
+        b.inst("li", {ir(ckReg),
+                      imm(static_cast<std::int32_t>(rng.next() & 0xFFFF))});
         cost(2);
     }
 
@@ -412,12 +437,12 @@ struct Gen
     checksumFinish(bool touchesMemory)
     {
         for (int r = poolLo; r <= poolLo + 5; ++r) {
-            b.ins("xor r%d, r%d, r%d", ckReg, ckReg, r);
+            b.inst("xor", {ir(ckReg), ir(ckReg), ir(r)});
             cost(1);
         }
         if (touchesMemory) {
-            b.ins("lw r2, 0(r%d)", baseReg);
-            b.ins("xor r%d, r%d, r2", ckReg, ckReg);
+            b.inst("lw", {ir(2), scratchAt(0)});
+            b.inst("xor", {ir(ckReg), ir(ckReg), ir(2)});
             cost(2);
         }
     }
@@ -430,11 +455,14 @@ struct Gen
             int n = rng.range(2, 4);
             for (int i = 0; i < n; ++i) {
                 // ALU-only bodies: no labels, loops, or further calls.
-                static const char *ops[] = {"add", "xor", "sub", "or"};
-                b.ins("%s r%d, r%d, r%d", ops[rng.range(0, 3)], pool(),
-                      pool(), pool());
+                static constexpr std::string_view ops[] = {"add", "xor",
+                                                           "sub", "or"};
+                const int rt = pool();
+                const int rs = pool();
+                const int rd = pool();
+                b.inst(ops[rng.range(0, 3)], {ir(rd), ir(rs), ir(rt)});
             }
-            b.ins("jr r31");
+            b.inst("jr", {ir(31)});
         }
     }
 
@@ -490,9 +518,8 @@ generate(std::uint64_t seed, const GenParams &params)
         if (params.instrument && s > 0) {
             // The WCET analyzer requires sub-task markers to start a
             // basic block; a jump to the marker forces the boundary.
-            const std::string seg =
-                "Lseg_" + std::to_string(s + 1);
-            g.b.ins("j %s", seg.c_str());
+            const std::string seg = "Lseg_" + std::to_string(s + 1);
+            g.b.inst("j", {Op::sym(seg)});
             g.b.label(seg);
             g.b.subtaskBegin(s + 1);
             g.cost(21);
@@ -504,10 +531,10 @@ generate(std::uint64_t seed, const GenParams &params)
 
     g.checksumFinish(w[KLoad] > 0 || w[KStore] > 0 || w[KFpMem] > 0);
     if (params.instrument) {
-        g.b.taskEnd("r24");
+        g.b.taskEnd(ckReg);
         g.cost(8);
     } else {
-        g.b.ins("halt");
+        g.b.inst("halt");
         g.cost(1);
     }
     if (calls)
@@ -516,7 +543,7 @@ generate(std::uint64_t seed, const GenParams &params)
 
     out.source = g.b.finish();
     out.dynamicBound = g.dyn;
-    out.program = assemble(out.source);
+    out.program = g.b.program();
     return out;
 }
 

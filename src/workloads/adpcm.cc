@@ -199,7 +199,7 @@ makeAdpcm()
         bld.ins(".loopbound %d", adpcmChunk);
         bld.ins("bgtz r2, adpcm_s_%d", s);
     }
-    bld.taskEnd("r24");
+    bld.taskEnd(24);
 
     bld.beginData();
     bld.words("adpcmIn", input);

@@ -1,53 +1,58 @@
 /**
  * @file
- * Assembly-source builder shared by the C-lab workload generators:
- * emits the sub-task instrumentation snippets of paper §2.2/§4.3
- * (watchdog advance, cycle-counter reset, AET reporting) and data
- * helpers. Snippets clobber r1 (at) and r25 only; workload code must
- * keep its state out of those two registers.
+ * Assembly-source builder shared by the C-lab workload generators and
+ * the verify program generator: emits the sub-task instrumentation
+ * snippets of paper §2.2/§4.3 (watchdog advance, cycle-counter reset,
+ * AET reporting) and data helpers. Snippets clobber r1 (at) and r25
+ * only; workload code must keep its state out of those two registers.
+ *
+ * Lines come from two kinds of emitter. Free-form ones (ins(),
+ * doubles()) only append text, so such a builder's source goes through
+ * assemble(). Typed ones (inst(), label(), the snippets, words(),
+ * space(), beginData(), finish()) append the line ins() would print and
+ * also record the statement; a builder that used nothing else hands its
+ * statements to the assembler's back end in program(), without lexing
+ * its own source again.
  */
 
 #ifndef VISA_WORKLOADS_ASM_BUILDER_HH
 #define VISA_WORKLOADS_ASM_BUILDER_HH
 
-#include <cstdarg>
-#include <cstdio>
+#include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "isa/isa.hh"
+#include "isa/asm_backend.hh"
+#include "isa/program.hh"
 
 namespace visa
 {
 
-/** Incremental assembly text builder. */
+/** Incremental assembly builder. */
 class AsmBuilder
 {
   public:
-    /** Append one instruction/directive line (printf-style). */
+    /** Append one free-form instruction/directive line (printf-style). */
+    void ins(const char *fmt, ...) __attribute__((format(printf, 2, 3)));
+
+    /**
+     * Append one typed statement: an instruction, or a directive when
+     * @p head starts with '.'. @p head must outlive the builder (a
+     * string literal).
+     */
+    void inst(std::string_view head, std::span<const AsmOperand> ops);
+
     void
-    ins(const char *fmt, ...) __attribute__((format(printf, 2, 3)))
+    inst(std::string_view head, std::initializer_list<AsmOperand> ops = {})
     {
-        va_list ap;
-        va_start(ap, fmt);
-        char buf[256];
-        std::vsnprintf(buf, sizeof(buf), fmt, ap);
-        va_end(ap);
-        src_ += "        ";
-        src_ += buf;
-        src_ += '\n';
+        inst(head, std::span<const AsmOperand>(ops.begin(), ops.size()));
     }
 
     /** Append a label line. */
-    void
-    label(const std::string &name)
-    {
-        src_ += name;
-        src_ += ":\n";
-    }
-
-    /** Append raw text. */
-    void raw(const std::string &text) { src_ += text; }
+    void label(std::string_view name);
 
     /**
      * Emit the sub-task begin snippet: report the previous sub-task's
@@ -55,108 +60,72 @@ class AsmBuilder
      * cycle counter, and advance the watchdog from the wdinc parameter
      * table the run-time system maintains in guest memory.
      */
-    void
-    subtaskBegin(int i)
-    {
-        ins(".subtask %d", i);
-        if (i > 1) {
-            ins("li r25, 0x%X", mmio::cycleCounter);
-            ins("lw r1, 0(r25)");
-            ins("li r25, 0x%X", mmio::aetReport);
-            ins("sw r1, 0(r25)");    // attributed to sub-task i-1
-        }
-        ins("li r25, 0x%X", mmio::subtaskId);
-        ins("li r1, %d", i);
-        ins("sw r1, 0(r25)");
-        ins("li r25, 0x%X", mmio::cycleCounter);
-        ins("sw r0, 0(r25)");
-        ins("la r25, wdinc");
-        ins("lw r1, %d(r25)", 4 * (i - 1));
-        ins("li r25, 0x%X", mmio::watchdog);
-        ins("sw r1, 0(r25)");
-        if (i > numSubtasks_)
-            numSubtasks_ = i;
-    }
+    void subtaskBegin(int i);
 
     /**
      * Emit the task epilogue: report the last sub-task's AET, publish
-     * the functional checksum from @p ck_reg, and halt.
+     * the functional checksum from integer register @p ck_reg, and
+     * halt.
      */
-    void
-    taskEnd(const char *ck_reg)
-    {
-        ins("li r25, 0x%X", mmio::cycleCounter);
-        ins("lw r1, 0(r25)");
-        ins("li r25, 0x%X", mmio::aetReport);
-        ins("sw r1, 0(r25)");
-        ins("li r25, 0x%X", mmio::checksum);
-        ins("sw %s, 0(r25)", ck_reg);
-        ins("halt");
-    }
+    void taskEnd(int ck_reg);
 
     /** Switch to the data segment. */
-    void beginData() { src_ += "        .data\n"; }
+    void beginData() { inst(".data"); }
 
     /** Emit labelled .word data, 8 values per line. */
-    void
-    words(const std::string &name, const std::vector<std::int32_t> &vals)
-    {
-        label(name);
-        for (std::size_t i = 0; i < vals.size(); i += 8) {
-            std::string line = "        .word ";
-            for (std::size_t j = i; j < std::min(i + 8, vals.size());
-                 ++j) {
-                if (j > i)
-                    line += ", ";
-                line += std::to_string(vals[j]);
-            }
-            src_ += line + "\n";
-        }
-    }
+    void words(std::string_view name, const std::vector<std::int32_t> &vals);
 
-    /** Emit labelled .double data, 4 values per line. */
-    void
-    doubles(const std::string &name, const std::vector<double> &vals)
-    {
-        label(name);
-        for (std::size_t i = 0; i < vals.size(); i += 4) {
-            std::string line = "        .double ";
-            for (std::size_t j = i; j < std::min(i + 4, vals.size());
-                 ++j) {
-                if (j > i)
-                    line += ", ";
-                char buf[48];
-                std::snprintf(buf, sizeof(buf), "%.17g", vals[j]);
-                line += buf;
-            }
-            src_ += line + "\n";
-        }
-    }
+    /** Emit labelled .double data, 4 values per line (free-form). */
+    void doubles(std::string_view name, const std::vector<double> &vals);
 
     /** Emit labelled zeroed space. */
-    void
-    space(const std::string &name, std::size_t bytes)
-    {
-        label(name);
-        ins(".space %zu", bytes);
-    }
+    void space(std::string_view name, std::size_t bytes);
 
     /**
      * Finalize: appends the wdinc parameter table sized to the number
      * of sub-tasks emitted, and returns the full source.
      */
-    std::string
-    finish()
-    {
-        src_ += "wdinc:\n";
-        ins(".space %d", 4 * std::max(numSubtasks_, 1));
-        return src_;
-    }
+    const std::string &finish();
+
+    /**
+     * The program the assembler's back end builds from the recorded
+     * statements at the default segment bases: the same program
+     * assemble(finish()) returns, without lexing the source. Call after
+     * finish(); fatal if a free-form line was emitted.
+     */
+    Program program() const;
 
     int numSubtasks() const { return numSubtasks_; }
 
   private:
+    /**
+     * A typed operand. Its text (a Symbol's name) is not kept as given:
+     * program() views it where the operand was rendered into src_.
+     */
+    struct RecordedOperand
+    {
+        AsmOperand op;
+        std::uint32_t at = 0;   ///< offset of the text in src_
+        std::uint32_t len = 0;  ///< length of the text; 0 for none
+    };
+
+    /** A typed line: a statement, or a label (no head, one Symbol). */
+    struct Statement
+    {
+        std::string_view head;
+        std::uint32_t firstOp = 0;  ///< operands: ops_[firstOp, +numOps)
+        std::uint32_t numOps = 0;
+        int line = 0;
+    };
+
+    /** Append @p op to the source and record it. */
+    void operand(const AsmOperand &op);
+
     std::string src_;
+    std::vector<Statement> stmts_;
+    std::vector<RecordedOperand> ops_;
+    int lines_ = 0;
+    bool freeForm_ = false;
     int numSubtasks_ = 0;
 };
 

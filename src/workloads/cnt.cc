@@ -91,7 +91,7 @@ makeCnt()
     }
     bld.ins("sll r24, r22, 16");
     bld.ins("xor r24, r23, r24");
-    bld.taskEnd("r24");
+    bld.taskEnd(24);
 
     bld.beginData();
     bld.words("cntM", m);

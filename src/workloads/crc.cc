@@ -87,7 +87,7 @@ makeCrc()
         bld.ins("bgtz r2, crc_byte_%d", s);
     }
     bld.ins("not r24, r16");    // final inversion
-    bld.taskEnd("r24");
+    bld.taskEnd(24);
 
     bld.beginData();
     bld.words("crcMsg", msg);

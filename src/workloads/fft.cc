@@ -209,7 +209,7 @@ makeFft()
     bld.ins(".loopbound %d", fftN);
     bld.ins("bgtz r10, fft_ck");
     bld.ins("cvt.w.d r24, f4");
-    bld.taskEnd("r24");
+    bld.taskEnd(24);
 
     bld.beginData();
     bld.doubles("fftInRe", input);

@@ -94,7 +94,7 @@ makeFir()
         bld.ins(".loopbound %d", firChunk);
         bld.ins("bgtz r2, fir_s_%d", s);
     }
-    bld.taskEnd("r24");
+    bld.taskEnd(24);
 
     bld.beginData();
     bld.words("firX", x);

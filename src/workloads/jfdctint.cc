@@ -272,7 +272,7 @@ makeJfdctint()
         bld.ins(".loopbound %d", dctChunk);
         bld.ins("bgtz r26, dct_blk_%d", s);
     }
-    bld.taskEnd("r24");
+    bld.taskEnd(24);
 
     bld.beginData();
     bld.words("dctMaster", input);

@@ -145,7 +145,7 @@ makeLms()
     bld.ins("ldc1 f8, 0(r20)");
     bld.ins("mul.d f4, f4, f8");
     bld.ins("cvt.w.d r24, f4");
-    bld.taskEnd("r24");
+    bld.taskEnd(24);
 
     bld.beginData();
     bld.doubles("lmsX", x);

@@ -104,7 +104,7 @@ makeMm()
         bld.ins(".loopbound %d", mmRowsPerSub);
         bld.ins("bne r4, r0, mm_i_%d", s);
     }
-    bld.taskEnd("r24");
+    bld.taskEnd(24);
 
     bld.beginData();
     bld.words("mmA", a);

@@ -122,7 +122,7 @@ makeSrt()
     bld.ins("slti r4, r2, %d", srtN);
     bld.ins(".loopbound %d", srtN);
     bld.ins("bne r4, r0, srt_ck");
-    bld.taskEnd("r24");
+    bld.taskEnd(24);
 
     bld.beginData();
     bld.words("srtMaster", input);

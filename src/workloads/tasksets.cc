@@ -35,18 +35,6 @@ namedSets()
 
 } // anonymous namespace
 
-const std::vector<std::string> &
-taskSetNames()
-{
-    static const std::vector<std::string> names = [] {
-        std::vector<std::string> v;
-        for (const auto &[name, members] : namedSets())
-            v.push_back(name);
-        return v;
-    }();
-    return names;
-}
-
 std::vector<TaskSetMemberSpec>
 parseTaskSet(const std::string &spec)
 {

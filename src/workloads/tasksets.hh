@@ -28,9 +28,6 @@ struct TaskSetMemberSpec
     double periodScale = 1.0;
 };
 
-/** Names of the predefined task sets (see parseTaskSet). */
-const std::vector<std::string> &taskSetNames();
-
 /**
  * Resolve @p spec into members: either a predefined set name ("trio",
  * "duo", "clab6", "mixed"), or a comma-separated member list where

@@ -186,8 +186,9 @@ TEST(Inject, AdmissionControlRejectsInfeasibleRestart)
     // Restore cost grows the recovery tail: the pair can only move up.
     const FreqPair costly =
         solveRestartSpeculation(wcet, pets, dvs, D, 2e-7, 0, 20000);
-    if (costly.feasible)
+    if (costly.feasible) {
         EXPECT_GE(costly.fSpec, plain.fSpec);
+    }
 
     // A restore larger than the whole deadline can never fit.
     const FreqPair absurd = solveRestartSpeculation(
