@@ -12,10 +12,11 @@
 
 #include <cstdio>
 
-#include "bench/bench_util.hh"
+#include "cpu/rig.hh"
+#include "wcet/analyzer.hh"
+#include "workloads/clab.hh"
 
 using namespace visa;
-using namespace visa::bench;
 
 namespace
 {
@@ -43,9 +44,10 @@ main()
     for (const auto &name : allWorkloadNames()) {
         Workload wl = makeWorkload(name);
         DMissProfile dmiss = profileDataMisses(wl.program);
-        bench::Rig<SimpleCpu> rig(wl.program);
-        rig.cpu->run(20'000'000'000ULL);
-        Cycles actual = rig.cpu->cycles();
+        Rig rig(wl.program);
+        SimpleCpu &cpu = rig.build<SimpleCpu>();
+        cpu.run(20'000'000'000ULL);
+        Cycles actual = cpu.cycles();
 
         AnalyzerParams overlap;    // default composition
         AnalyzerParams drain;

@@ -36,14 +36,15 @@ PolicyResult
 runPolicy(const ExperimentSetup &setup, double deadline,
           const PetPolicy &policy, int tasks, int induce_every)
 {
-    bench::Rig<OooCpu> rig(setup.wl.program);
+    Rig rig(setup.wl.program);
+    OooCpu &cpu = rig.build<OooCpu>();
     RuntimeConfig cfg = setup.runtimeConfig(deadline);
     cfg.petPolicy = policy;
-    VisaComplexRuntime rt(*rig.cpu, setup.wl.program, rig.mem,
-                          *setup.wcet, setup.dvs, cfg);
+    VisaComplexRuntime rt(cpu, setup.wl.program, rig.mem(), setup.wcet,
+                          setup.dvs, cfg);
     rt.pets().seed(profileComplexAets(setup.wl.program,
                                       setup.wl.numSubtasks, 1.03));
-    PowerMeter meter(*rig.cpu, complexEnergyModel(), setup.dvs,
+    PowerMeter meter(cpu, complexEnergyModel(), setup.dvs,
                      ClockGating::Perfect);
     rt.attachMeter(&meter);
     PolicyResult res;
@@ -70,7 +71,7 @@ main()
                 "tasks flushed), benchmark mm, %d tasks\n\n", tasks);
     std::printf("%-22s %9s %7s %10s %9s\n", "policy", "power(W)",
                 "f_spec", "ckpt-miss", "dl-miss");
-    ExperimentSetup setup = makeSetup("mm");
+    const ExperimentSetup setup("mm");
     const double d = 1.02 * setup.minDeadline;
 
     struct NamedPolicy
@@ -98,7 +99,7 @@ main()
                 "adpcm, tight deadline, %d tasks\n\n", tasks);
     std::printf("%10s %9s %9s %8s\n", "ovhd(us)", "Psimp(W)",
                 "Pcplx(W)", "save%");
-    ExperimentSetup base = makeSetup("adpcm");
+    const ExperimentSetup base("adpcm");
     for (double ovhd_us : {0.5, 2.0, 4.0, 8.0}) {
         // Rebuild arms with the modified overhead.
         auto cfg_of = [&](double dl) {
@@ -108,20 +109,22 @@ main()
         };
         double dl = base.tightDeadline + (ovhd_us - 2.0) * 1e-6;
 
-        bench::Rig<OooCpu> crig(base.wl.program);
-        VisaComplexRuntime crt(*crig.cpu, base.wl.program, crig.mem,
-                               *base.wcet, base.dvs, cfg_of(dl));
+        Rig crig(base.wl.program);
+        OooCpu &ccpu = crig.build<OooCpu>();
+        VisaComplexRuntime crt(ccpu, base.wl.program, crig.mem(),
+                               base.wcet, base.dvs, cfg_of(dl));
         crt.pets().seed(profileComplexAets(base.wl.program,
                                            base.wl.numSubtasks, 1.03));
-        PowerMeter cmeter(*crig.cpu, complexEnergyModel(), base.dvs,
+        PowerMeter cmeter(ccpu, complexEnergyModel(), base.dvs,
                           ClockGating::Perfect);
         crt.attachMeter(&cmeter);
 
-        bench::Rig<SimpleCpu> srig(base.wl.program);
-        SimpleFixedRuntime srt(*srig.cpu, base.wl.program, srig.mem,
-                               *base.wcet, base.dvs, cfg_of(dl));
-        PowerMeter smeter(*srig.cpu, simpleFixedEnergyModel(),
-                          base.dvs, ClockGating::Perfect);
+        Rig srig(base.wl.program);
+        SimpleCpu &scpu = srig.build<SimpleCpu>();
+        SimpleFixedRuntime srt(scpu, base.wl.program, srig.mem(),
+                               base.wcet, base.dvs, cfg_of(dl));
+        PowerMeter smeter(scpu, simpleFixedEnergyModel(), base.dvs,
+                          ClockGating::Perfect);
         srt.attachMeter(&smeter);
 
         for (int t = 0; t < tasks; ++t) {

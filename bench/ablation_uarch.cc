@@ -10,11 +10,12 @@
  */
 
 #include <cstdio>
+#include <vector>
 
-#include "bench/bench_util.hh"
+#include "cpu/rig.hh"
+#include "workloads/clab.hh"
 
 using namespace visa;
-using namespace visa::bench;
 
 namespace
 {
@@ -68,23 +69,21 @@ main()
 
     for (const auto &name : clabNames()) {
         Workload wl = makeWorkload(name);
-        bench::Rig<SimpleCpu> simple(wl.program);
-        simple.cpu->run(20'000'000'000ULL);
+        Rig simple_rig(wl.program);
+        SimpleCpu &simple = simple_rig.build<SimpleCpu>();
+        simple.run(20'000'000'000ULL);
         std::printf("%-9s", name.c_str());
         for (const auto &c : configs()) {
-            MainMemory mem;
-            Platform plat;
-            MemController mc;
-            mem.loadProgram(wl.program);
-            OooCpu cpu(wl.program, mem, plat, mc, c.params);
-            cpu.resetForTask();
+            Rig rig(wl.program);
+            OooCpu &cpu =
+                rig.build<OooCpu>(std::nullopt, false, 0, c.params);
             cpu.run(20'000'000'000ULL);
-            if (plat.lastChecksum() != wl.expectedChecksum) {
+            if (rig.platform().lastChecksum() != wl.expectedChecksum) {
                 std::printf(" %12s", "BAD-CKSUM");
                 continue;
             }
             std::printf(" %11.2fx",
-                        static_cast<double>(simple.cpu->cycles()) /
+                        static_cast<double>(simple.cycles()) /
                             static_cast<double>(cpu.cycles()));
         }
         std::printf("\n");

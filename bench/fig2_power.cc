@@ -48,13 +48,13 @@ main()
         for (const auto &c : cases) {
             ArmResult sp = runSimpleFixedArm(setup, c.deadline,
                                              ClockGating::Perfect, tasks,
-                                             setup.dvs, *setup.wcet);
+                                             setup.dvs, setup.wcet);
             ArmResult cp = runComplexArm(setup, c.deadline,
                                          ClockGating::Perfect, tasks);
             ArmResult ss = runSimpleFixedArm(setup, c.deadline,
                                              ClockGating::Standby10,
                                              tasks, setup.dvs,
-                                             *setup.wcet);
+                                             setup.wcet);
             ArmResult cs = runComplexArm(setup, c.deadline,
                                          ClockGating::Standby10, tasks);
             violations[i] += sp.deadlineMisses + cp.deadlineMisses +

@@ -38,7 +38,7 @@ main()
         // Simple-fixed gets its own 1.5x DVS table and WCETs at those
         // operating points.
         DvsTable dvs15(1.5);
-        WcetTable wcet15(*setup.analyzer, dvs15, &setup.dmiss);
+        WcetTable wcet15(setup.analyzer, dvs15, &setup.dmiss);
         const double d = setup.tightDeadline;
 
         ArmResult sp = runSimpleFixedArm(setup, d, ClockGating::Perfect,

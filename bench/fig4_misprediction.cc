@@ -44,7 +44,7 @@ main()
         ArmResult simple = runSimpleFixedArm(setup, d,
                                              ClockGating::Perfect,
                                              tasks, setup.dvs,
-                                             *setup.wcet);
+                                             setup.wcet);
         violations[bi] += simple.deadlineMisses + simple.badChecksums;
 
         double saves[4];

@@ -13,14 +13,18 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench/bench_util.hh"
+#include <map>
+#include <mutex>
+
+#include "core/experiment.hh"
+#include "cpu/rig.hh"
 #include "cpu/visa_timing.hh"
 #include "isa/assembler.hh"
+#include "sim/builder.hh"
 #include "verify/lockstep.hh"
 #include "verify/progen.hh"
 
 using namespace visa;
-using namespace visa::bench;
 
 namespace
 {
@@ -201,10 +205,11 @@ BM_SimpleCpuRun(benchmark::State &state)
     const Workload &wl = cachedWorkload("mm");
     std::int64_t insts = 0;
     for (auto _ : state) {
-        bench::Rig<SimpleCpu> rig(wl.program);
-        rig.cpu->run(20'000'000'000ULL);
-        insts += static_cast<std::int64_t>(rig.cpu->retired());
-        benchmark::DoNotOptimize(rig.cpu->cycles());
+        Rig rig(wl.program);
+        SimpleCpu &cpu = rig.build<SimpleCpu>();
+        cpu.run(20'000'000'000ULL);
+        insts += static_cast<std::int64_t>(cpu.retired());
+        benchmark::DoNotOptimize(cpu.cycles());
     }
     state.SetItemsProcessed(insts);    // guest instructions/second
 }
@@ -215,9 +220,10 @@ BM_OooCpuRun(benchmark::State &state)
 {
     const Workload &wl = cachedWorkload("mm");
     for (auto _ : state) {
-        bench::Rig<OooCpu> rig(wl.program);
-        rig.cpu->run(20'000'000'000ULL);
-        benchmark::DoNotOptimize(rig.cpu->cycles());
+        Rig rig(wl.program);
+        OooCpu &cpu = rig.build<OooCpu>();
+        cpu.run(20'000'000'000ULL);
+        benchmark::DoNotOptimize(cpu.cycles());
     }
 }
 BENCHMARK(BM_OooCpuRun)->Unit(benchmark::kMillisecond);
@@ -227,10 +233,10 @@ BM_OooCpuSimpleMode(benchmark::State &state)
 {
     const Workload &wl = cachedWorkload("mm");
     for (auto _ : state) {
-        bench::Rig<OooCpu> rig(wl.program);
-        rig.cpu->switchToSimple();
-        rig.cpu->run(20'000'000'000ULL);
-        benchmark::DoNotOptimize(rig.cpu->cycles());
+        Rig rig(wl.program);
+        OooCpu &cpu = rig.build<OooCpu>(std::nullopt, true);
+        cpu.run(20'000'000'000ULL);
+        benchmark::DoNotOptimize(cpu.cycles());
     }
 }
 BENCHMARK(BM_OooCpuSimpleMode)->Unit(benchmark::kMillisecond);
@@ -246,10 +252,11 @@ BM_OooCpuKernel(benchmark::State &state, const std::string &name)
     const Workload &wl = cachedWorkload(name);
     std::int64_t insts = 0;
     for (auto _ : state) {
-        bench::Rig<OooCpu> rig(wl.program);
-        rig.cpu->run(20'000'000'000ULL);
-        insts += static_cast<std::int64_t>(rig.cpu->retired());
-        benchmark::DoNotOptimize(rig.cpu->cycles());
+        Rig rig(wl.program);
+        OooCpu &cpu = rig.build<OooCpu>();
+        cpu.run(20'000'000'000ULL);
+        insts += static_cast<std::int64_t>(cpu.retired());
+        benchmark::DoNotOptimize(cpu.cycles());
     }
     state.SetItemsProcessed(insts);    // guest instructions/second
 }
@@ -270,7 +277,7 @@ BM_RigBuild(benchmark::State &state)
 {
     const Workload &wl = cachedWorkload("mm");
     for (auto _ : state) {
-        visa::Rig rig(wl.program);
+        Rig rig(wl.program);
         benchmark::DoNotOptimize(&rig.build<CpuT>());
     }
 }
@@ -337,17 +344,13 @@ BENCHMARK(BM_WcetTable)->Unit(benchmark::kMillisecond);
 void
 BM_FreqSpecSolver(benchmark::State &state)
 {
-    const Workload &wl = cachedWorkload("lms");
-    WcetAnalyzer an(wl.program);
-    DvsTable dvs;
-    DMissProfile dmiss = profileDataMisses(wl.program);
-    WcetTable wcet(an, dvs, &dmiss);
-    PetEstimator pets(wl.numSubtasks, PetPolicy{});
-    pets.seed(profileComplexAets(wl.program, wl.numSubtasks));
-    double deadline = wcet.taskSeconds(700);
+    const KernelAnalysis a("lms");
+    PetEstimator pets(a.wl.numSubtasks, PetPolicy{});
+    pets.seed(profileComplexAets(a.wl.program, a.wl.numSubtasks));
+    double deadline = a.wcet.taskSeconds(700);
     for (auto _ : state) {
-        FreqPair p = solveVisaSpeculation(wcet, pets, dvs, deadline,
-                                          2e-6, 1000);
+        FreqPair p = solveVisaSpeculation(a.wcet, pets, a.dvs, deadline,
+                                          experimentOvhdSeconds, 1000);
         benchmark::DoNotOptimize(p.fSpec);
     }
 }
@@ -357,17 +360,13 @@ BENCHMARK(BM_FreqSpecSolver);
 void
 BM_FreqSpecSolverInfeasible(benchmark::State &state)
 {
-    const Workload &wl = cachedWorkload("lms");
-    WcetAnalyzer an(wl.program);
-    DvsTable dvs;
-    DMissProfile dmiss = profileDataMisses(wl.program);
-    WcetTable wcet(an, dvs, &dmiss);
-    PetEstimator pets(wl.numSubtasks, PetPolicy{});
-    pets.seed(profileComplexAets(wl.program, wl.numSubtasks));
-    double deadline = 0.5 * wcet.taskSeconds(dvs.maxFreq());
+    const KernelAnalysis a("lms");
+    PetEstimator pets(a.wl.numSubtasks, PetPolicy{});
+    pets.seed(profileComplexAets(a.wl.program, a.wl.numSubtasks));
+    double deadline = 0.5 * a.wcet.taskSeconds(a.dvs.maxFreq());
     for (auto _ : state) {
-        FreqPair p = solveVisaSpeculation(wcet, pets, dvs, deadline,
-                                          2e-6, 1000);
+        FreqPair p = solveVisaSpeculation(a.wcet, pets, a.dvs, deadline,
+                                          experimentOvhdSeconds, 1000);
         benchmark::DoNotOptimize(p.feasible);
     }
 }
@@ -390,10 +389,7 @@ BM_FreqSpecBisection(benchmark::State &state)
     DvsTable dvs;
     DMissProfile dmiss = profileDataMisses(g.program);
     WcetTable wcet(an, dvs, &dmiss);
-    RuntimeConfig cfg;
-    cfg.ovhdSeconds = 2e-6;
-    cfg.dvsSoftwareCycles = 500;
-    cfg.drainBudgetCycles = 512;
+    const RuntimeConfig cfg = experimentRuntimeConfig();
     const std::vector<std::uint64_t> pet_seed =
         profileComplexAets(g.program, params.subtasks);
     for (auto _ : state)

@@ -9,10 +9,13 @@
 #ifndef VISA_BENCH_POWER_ARM_HH
 #define VISA_BENCH_POWER_ARM_HH
 
+#include <algorithm>
 #include <cstdlib>
-#include <set>
 
-#include "bench/bench_util.hh"
+#include "core/experiment.hh"
+#include "cpu/rig.hh"
+#include "power/energy_model.hh"
+#include "power/meter.hh"
 
 namespace visa::bench
 {
@@ -49,10 +52,11 @@ inline ArmResult
 runComplexArm(const ExperimentSetup &setup, double deadline,
               ClockGating gating, int tasks, int induce_every = 0)
 {
-    Rig<OooCpu> rig(setup.wl.program);
+    Rig rig(setup.wl.program);
+    OooCpu &cpu = rig.build<OooCpu>();
     RuntimeConfig cfg = setup.runtimeConfig(deadline);
-    VisaComplexRuntime rt(*rig.cpu, setup.wl.program, rig.mem,
-                          *setup.wcet, setup.dvs, cfg);
+    VisaComplexRuntime rt(cpu, setup.wl.program, rig.mem(), setup.wcet,
+                          setup.dvs, cfg);
     // Off-line PET seeding (Rotenberg): profile at the frequency the
     // solver would pick, iterating so the cycle counts are measured in
     // the right clock domain (memory stalls scale with frequency).
@@ -61,14 +65,13 @@ runComplexArm(const ExperimentSetup &setup, double deadline,
         rt.pets().seed(profileComplexAets(
             setup.wl.program, setup.wl.numSubtasks, 1.03, probe));
         FreqPair pair = solveVisaSpeculation(
-            *setup.wcet, rt.pets(), setup.dvs, deadline,
-            cfg.ovhdSeconds,
-            cfg.dvsSoftwareCycles + cfg.drainBudgetCycles);
+            setup.wcet, rt.pets(), setup.dvs, deadline, cfg.ovhdSeconds,
+            cfg.overheadCyclesAtFspec());
         if (!pair.feasible || pair.fSpec == probe)
             break;
         probe = pair.fSpec;
     }
-    PowerMeter meter(*rig.cpu, complexEnergyModel(), setup.dvs, gating);
+    PowerMeter meter(cpu, complexEnergyModel(), setup.dvs, gating);
     rt.attachMeter(&meter);
 
     ArmResult res;
@@ -102,10 +105,11 @@ runSimpleFixedArm(const ExperimentSetup &setup, double deadline,
                   ClockGating gating, int tasks, const DvsTable &dvs,
                   const WcetTable &wcet, int induce_every = 0)
 {
-    Rig<SimpleCpu> rig(setup.wl.program);
-    SimpleFixedRuntime rt(*rig.cpu, setup.wl.program, rig.mem, wcet,
-                          dvs, setup.runtimeConfig(deadline));
-    PowerMeter meter(*rig.cpu, simpleFixedEnergyModel(), dvs, gating);
+    Rig rig(setup.wl.program);
+    SimpleCpu &cpu = rig.build<SimpleCpu>();
+    SimpleFixedRuntime rt(cpu, setup.wl.program, rig.mem(), wcet, dvs,
+                          setup.runtimeConfig(deadline));
+    PowerMeter meter(cpu, simpleFixedEnergyModel(), dvs, gating);
     rt.attachMeter(&meter);
 
     ArmResult res;

@@ -15,11 +15,11 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.hh"
+#include "core/experiment.hh"
+#include "cpu/rig.hh"
 #include "sim/parallel.hh"
 
 using namespace visa;
-using namespace visa::bench;
 
 namespace
 {
@@ -31,24 +31,25 @@ row(const std::string &name)
     const ExperimentSetup &setup = cachedSetup(name);
     const Program &prog = setup.wl.program;
 
-    bench::Rig<SimpleCpu> simple(prog);
-    simple.cpu->run(20'000'000'000ULL);
-    bench::Rig<OooCpu> complex_rig(prog);
-    complex_rig.cpu->run(20'000'000'000ULL);
+    Rig simple_rig(prog);
+    SimpleCpu &simple = simple_rig.build<SimpleCpu>();
+    simple.run(20'000'000'000ULL);
+    Rig complex_rig(prog);
+    OooCpu &ooo = complex_rig.build<OooCpu>();
+    ooo.run(20'000'000'000ULL);
 
     const double wcet_us =
-        static_cast<double>(setup.wcet->taskCycles(1000)) / 1000.0;
-    const double simple_us =
-        static_cast<double>(simple.cpu->cycles()) / 1000.0;
+        static_cast<double>(setup.wcet.taskCycles(1000)) / 1000.0;
+    const double simple_us = static_cast<double>(simple.cycles()) / 1000.0;
     const double complex_us =
-        static_cast<double>(complex_rig.cpu->cycles()) / 1000.0;
+        static_cast<double>(ooo.cycles()) / 1000.0;
 
     char line[192];
     std::snprintf(line, sizeof(line),
                   "%-7s %10llu %5d %11.1f %11.1f %10.1f %10.1f "
                   "%10.1f %8.2f %8.2f\n",
                   name.c_str(),
-                  static_cast<unsigned long long>(simple.cpu->retired()),
+                  static_cast<unsigned long long>(simple.retired()),
                   setup.wl.numSubtasks, setup.tightDeadline * 1e6,
                   setup.looseDeadline * 1e6, wcet_us, simple_us,
                   complex_us, wcet_us / simple_us,

@@ -15,10 +15,9 @@
 #include <string>
 
 #include "core/concurrency.hh"
+#include "core/experiment.hh"
 #include "cpu/rig.hh"
 #include "isa/assembler.hh"
-#include "wcet/analyzer.hh"
-#include "workloads/clab.hh"
 
 using namespace visa;
 
@@ -50,16 +49,13 @@ main(int argc, char **argv)
     std::string name = argc > 1 ? argv[1] : "fft";
     int periods = argc > 2 ? std::atoi(argv[2]) : 25;
 
-    Workload wl = makeWorkload(name);
-    WcetAnalyzer analyzer(wl.program);
-    DMissProfile dmiss = profileDataMisses(wl.program);
-    DvsTable dvs;
-    WcetTable wcet(analyzer, dvs, &dmiss);
+    const KernelAnalysis kernel(name);
+    const Workload &wl = kernel.wl;
     Program bg = assemble(backgroundSource);
 
     RuntimeConfig cfg;
-    cfg.deadlineSeconds = wcet.taskSeconds(700);
-    cfg.ovhdSeconds = 2e-6;
+    cfg.deadlineSeconds = kernel.wcet.taskSeconds(700);
+    cfg.ovhdSeconds = experimentOvhdSeconds;
     std::printf("== conventional concurrency on '%s': period %.1f us, "
                 "%d periods ==\n\n",
                 name.c_str(), cfg.deadlineSeconds * 1e6, periods);
@@ -70,18 +66,18 @@ main(int argc, char **argv)
         int dl_misses = 0;
         if (use_complex) {
             VisaComplexRuntime rt(rig.build<OooCpu>(), wl.program,
-                                  rig.mem(), wcet, dvs, cfg);
+                                  rig.mem(), kernel.wcet, kernel.dvs, cfg);
             rt.pets().seed(profileComplexAets(wl.program,
                                               wl.numSubtasks));
-            SlackScheduler sched(rt, bg, dvs);
+            SlackScheduler sched(rt, bg, kernel.dvs);
             for (int p = 0; p < periods; ++p)
                 sched.runPeriod();
             bgstats = sched.background();
             dl_misses = rt.stats().deadlineMisses;
         } else {
             SimpleFixedRuntime rt(rig.build<SimpleCpu>(), wl.program,
-                                  rig.mem(), wcet, dvs, cfg);
-            SlackScheduler sched(rt, bg, dvs);
+                                  rig.mem(), kernel.wcet, kernel.dvs, cfg);
+            SlackScheduler sched(rt, bg, kernel.dvs);
             for (int p = 0; p < periods; ++p)
                 sched.runPeriod();
             bgstats = sched.background();

@@ -12,11 +12,9 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/runtime.hh"
+#include "core/experiment.hh"
 #include "cpu/rig.hh"
 #include "power/meter.hh"
-#include "wcet/analyzer.hh"
-#include "workloads/clab.hh"
 
 using namespace visa;
 
@@ -26,27 +24,22 @@ main(int argc, char **argv)
     std::string name = argc > 1 ? argv[1] : "mm";
     int tasks = argc > 2 ? std::atoi(argv[2]) : 20;
 
-    Workload wl = makeWorkload(name);
-    WcetAnalyzer analyzer(wl.program);
-    DMissProfile dmiss = profileDataMisses(wl.program);
-    DvsTable dvs;
-    WcetTable wcet(analyzer, dvs, &dmiss);
+    const KernelAnalysis kernel(name);
+    const Workload &wl = kernel.wl;
 
     // A deadline around the 700 MHz operating point of simple-fixed.
-    RuntimeConfig cfg;
-    cfg.deadlineSeconds = wcet.taskSeconds(700);
-    cfg.ovhdSeconds = 2e-6;
-    cfg.dvsSoftwareCycles = 500;
-    cfg.drainBudgetCycles = 512;
+    const RuntimeConfig cfg =
+        experimentRuntimeConfig(kernel.wcet.taskSeconds(700));
     std::printf("== DVS on '%s': deadline %.1f us, %d tasks ==\n\n",
                 name.c_str(), cfg.deadlineSeconds * 1e6, tasks);
 
     // --- the VISA-compliant complex processor ---
     Rig crig(wl.program);
     OooCpu &ooo = crig.build<OooCpu>();
-    VisaComplexRuntime crt(ooo, wl.program, crig.mem(), wcet, dvs, cfg);
+    VisaComplexRuntime crt(ooo, wl.program, crig.mem(), kernel.wcet,
+                           kernel.dvs, cfg);
     crt.pets().seed(profileComplexAets(wl.program, wl.numSubtasks));
-    PowerMeter cmeter(ooo, complexEnergyModel(), dvs,
+    PowerMeter cmeter(ooo, complexEnergyModel(), kernel.dvs,
                       ClockGating::Perfect);
     crt.attachMeter(&cmeter);
 
@@ -66,8 +59,9 @@ main(int argc, char **argv)
     // --- the explicitly-safe simple-fixed processor ---
     Rig srig(wl.program);
     SimpleCpu &simple = srig.build<SimpleCpu>();
-    SimpleFixedRuntime srt(simple, wl.program, srig.mem(), wcet, dvs, cfg);
-    PowerMeter smeter(simple, simpleFixedEnergyModel(), dvs,
+    SimpleFixedRuntime srt(simple, wl.program, srig.mem(), kernel.wcet,
+                           kernel.dvs, cfg);
+    PowerMeter smeter(simple, simpleFixedEnergyModel(), kernel.dvs,
                       ClockGating::Perfect);
     srt.attachMeter(&smeter);
 

@@ -13,10 +13,8 @@
 #include <cstdio>
 #include <string>
 
-#include "core/runtime.hh"
+#include "core/experiment.hh"
 #include "cpu/rig.hh"
-#include "wcet/analyzer.hh"
-#include "workloads/clab.hh"
 
 using namespace visa;
 
@@ -24,35 +22,24 @@ int
 main(int argc, char **argv)
 {
     std::string name = argc > 1 ? argv[1] : "mm";
-    Workload wl = makeWorkload(name);
-    WcetAnalyzer analyzer(wl.program);
-    DMissProfile dmiss = profileDataMisses(wl.program);
-    DvsTable dvs;
-    WcetTable wcet(analyzer, dvs, &dmiss);
+    const KernelAnalysis kernel(name);
+    const Workload &wl = kernel.wl;
 
     RuntimeConfig cfg;
-    // Lean deployment parameters: a fast regulator and a measured
-    // (rather than padded) drain bound leave the checkpoints razor
-    // sharp, so the induced disturbance visibly trips the watchdog.
+    // Lean deployment parameters, not the experiments' scaled ones: a
+    // fast regulator and a measured (rather than padded) drain bound
+    // leave the checkpoints razor sharp, so the induced disturbance
+    // visibly trips the watchdog.
     cfg.ovhdSeconds = 1e-6;
     cfg.dvsSoftwareCycles = 100;
     cfg.drainBudgetCycles = 128;
 
-    // Bisect the tightest EQ 4-guaranteeable deadline, then leave only
-    // 1% slack: any disturbance must now trip a checkpoint.
-    PetEstimator probe(wl.numSubtasks, cfg.petPolicy);
-    probe.seed(profileComplexAets(wl.program, wl.numSubtasks));
-    double lo = wcet.taskSeconds(1000), hi = wcet.taskSeconds(100);
-    for (int i = 0; i < 40; ++i) {
-        double mid = 0.5 * (lo + hi);
-        bool ok = solveVisaSpeculation(wcet, probe, dvs, mid,
-                                       cfg.ovhdSeconds,
-                                       cfg.dvsSoftwareCycles +
-                                           cfg.drainBudgetCycles)
-                      .feasible;
-        (ok ? hi : lo) = mid;
-    }
-    cfg.deadlineSeconds = hi * 1.002;
+    // The tightest EQ 4-guaranteeable deadline, plus only 0.2% slack:
+    // any disturbance must now trip a checkpoint.
+    const double min_d = minGuaranteeableDeadline(
+        kernel.wcet, kernel.dvs,
+        profileComplexAets(wl.program, wl.numSubtasks), cfg);
+    cfg.deadlineSeconds = min_d * 1.002;
 
     std::printf("== missed-checkpoint fallback on '%s' ==\n", name.c_str());
     std::printf("deadline: %.2f us (0.2%% above the tightest "
@@ -60,7 +47,8 @@ main(int argc, char **argv)
 
     Rig rig(wl.program);
     OooCpu &cpu = rig.build<OooCpu>();
-    VisaComplexRuntime rt(cpu, wl.program, rig.mem(), wcet, dvs, cfg);
+    VisaComplexRuntime rt(cpu, wl.program, rig.mem(), kernel.wcet,
+                          kernel.dvs, cfg);
     rt.pets().seed(profileComplexAets(wl.program, wl.numSubtasks, 1.02));
 
     for (int t = 0; t < 16; ++t) {

@@ -474,11 +474,11 @@ VisaComplexRuntime::chooseFrequencies()
             ? solveRestartSpeculation(wcet_, pets_, dvs_,
                                       cfg_.deadlineSeconds,
                                       cfg_.ovhdSeconds,
-                                      overheadCyclesAtFspec(),
+                                      cfg_.overheadCyclesAtFspec(),
                                       cfg_.restartRestoreCycles)
             : solveVisaSpeculation(wcet_, pets_, dvs_,
                                    cfg_.deadlineSeconds, cfg_.ovhdSeconds,
-                                   overheadCyclesAtFspec());
+                                   cfg_.overheadCyclesAtFspec());
     if (pair.feasible) {
         speculating_ = true;
         fallbackSimple_ = false;

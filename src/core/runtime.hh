@@ -104,6 +104,16 @@ struct RuntimeConfig
      * is modeled as free (hardware-assisted copy-on-write).
      */
     Cycles restartRestoreCycles = 4096;
+
+    /**
+     * The recovery term EQ 4 charges at the speculative frequency:
+     * the DVS software plus the drain budget.
+     */
+    Cycles
+    overheadCyclesAtFspec() const
+    {
+        return dvsSoftwareCycles + drainBudgetCycles;
+    }
 };
 
 /** Outcome of one task instance. */
@@ -307,13 +317,6 @@ class DvsRuntime
     std::optional<CheckpointPlan> plan_;
     int tasksRun_ = 0;
     ExperimentStats stats_;
-
-    /** Solver budget charged at f_spec (DVS software + drain). */
-    Cycles
-    overheadCyclesAtFspec() const
-    {
-        return cfg_.dvsSoftwareCycles + cfg_.drainBudgetCycles;
-    }
 
     /**
      * Set by chooseFrequencies() when the whole task runs in the safe

@@ -214,8 +214,7 @@ MultiTaskScheduler::admissionError() const
             const FreqPair pair = d.complexMachine
                 ? solveVisaSpeculation(
                       *d.wcet, pets, *d.dvs, budget, d.runtime.ovhdSeconds,
-                      d.runtime.dvsSoftwareCycles +
-                          d.runtime.drainBudgetCycles)
+                      d.runtime.overheadCyclesAtFspec())
                 : solveConventionalSpeculation(
                       *d.wcet, pets, *d.dvs, budget, d.runtime.ovhdSeconds,
                       d.runtime.dvsSoftwareCycles +

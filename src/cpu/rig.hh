@@ -17,7 +17,13 @@
  * ExecCore::blockCacheDefault(), stands); resetForTask(); then the
  * optional simple-mode switch and frequency. The pipeline may be any
  * Cpu subclass with the (program, memory, platform, controller)
- * constructor: SimpleCpu, OooCpu or verify::RefOooCpu.
+ * constructor: SimpleCpu, OooCpu or verify::RefOooCpu. An OOO
+ * pipeline other than the paper's 4-wide/128 takes its OooParams:
+ *
+ *   rig.build<OooCpu>(std::nullopt, false, 0, params);
+ *
+ * A machine with another memory system assigns the controller before
+ * build(): `rig.memctrl() = MemController(params);`.
  */
 
 #ifndef VISA_CPU_RIG_HH
@@ -51,16 +57,18 @@ class Rig
      *        default
      * @param simpleMode lock an OooCpu into simple mode after reset
      * @param freq initial clock; 0 keeps the pipeline's reset frequency
+     * @param params the pipeline's remaining constructor arguments:
+     *        none, or an OOO pipeline's OooParams
      */
-    template <typename CpuT>
+    template <typename CpuT, typename... Params>
     CpuT &
     build(std::optional<bool> blockCache = std::nullopt,
-          bool simpleMode = false, MHz freq = 0)
+          bool simpleMode = false, MHz freq = 0, const Params &...params)
     {
         if (cpu_)
             fatal("Rig: the pipeline is already built");
         auto cpu = std::make_unique<CpuT>(prog_, mem_, platform_,
-                                          memctrl_);
+                                          memctrl_, params...);
         CpuT &built = *cpu;
         cpu_ = std::move(cpu);
         if constexpr (std::is_same_v<CpuT, OooCpu>)

@@ -530,9 +530,7 @@ AsmBackend::dataValues(string_view dir, std::span<const AsmOperand> ops)
         } else {
             if (width != 4)
                 asmError(line_, "symbol data must be .word");
-            const ImmSpec s = imm(op);
-            dataFixups_.push_back(
-                {prog_.data.size(), s.symbol, s.value, line_});
+            dataFixups_.push_back({prog_.data.size(), imm(op), line_});
             put(0, 4);
         }
     }
@@ -657,18 +655,27 @@ AsmBackend::instruction(string_view mnem, std::span<const AsmOperand> ops)
     }
 }
 
+std::int64_t
+AsmBackend::resolve(const ImmSpec &s, int line) const
+{
+    if (s.kind == ImmSpec::None || s.kind == ImmSpec::Literal)
+        return s.value;
+    auto it = prog_.symbols.find(std::string(s.symbol));
+    if (it == prog_.symbols.end())
+        asmError(line, "undefined symbol " + quoted(s.symbol));
+    const std::int64_t addr = it->second + s.value;
+    if (s.kind == ImmSpec::SymbolHi)
+        return addr >> 16;
+    if (s.kind == ImmSpec::SymbolLo)
+        return addr & 0xFFFF;
+    return addr;
+}
+
 Program
 AsmBackend::finish()
 {
     if (protos_.empty())
         fatal("assembler: empty program");
-
-    auto symAddr = [&](string_view name, int line) -> Addr {
-        auto it = prog_.symbols.find(std::string(name));
-        if (it == prog_.symbols.end())
-            asmError(line, "undefined symbol " + quoted(name));
-        return it->second;
-    };
 
     prog_.text.reserve(protos_.size());
     prog_.words.reserve(protos_.size());
@@ -680,24 +687,7 @@ AsmBackend::finish()
         inst.rd = p.rd;
         inst.rs = p.rs;
         inst.rt = p.rt;
-        std::int64_t v = 0;
-        switch (p.imm.kind) {
-          case ImmSpec::None:
-            break;
-          case ImmSpec::Literal:
-            v = p.imm.value;
-            break;
-          case ImmSpec::Symbol:
-            v = static_cast<std::int64_t>(symAddr(p.imm.symbol, p.line)) +
-                p.imm.value;
-            break;
-          case ImmSpec::SymbolHi:
-            v = (symAddr(p.imm.symbol, p.line) + p.imm.value) >> 16;
-            break;
-          case ImmSpec::SymbolLo:
-            v = (symAddr(p.imm.symbol, p.line) + p.imm.value) & 0xFFFF;
-            break;
-        }
+        const std::int64_t v = resolve(p.imm, p.line);
         inst.imm = static_cast<std::int32_t>(v);
         // Range checks for plain immediates (branch ranges are checked
         // by the encoder, which sees absolute targets).
@@ -722,15 +712,15 @@ AsmBackend::finish()
     }
 
     for (const auto &fix : dataFixups_) {
-        Addr v = symAddr(fix.symbol, fix.line) +
-                 static_cast<Addr>(fix.addend);
+        const auto v = static_cast<Word>(resolve(fix.imm, fix.line));
         for (int b = 0; b < 4; ++b)
             prog_.data[fix.offset + static_cast<std::size_t>(b)] =
                 static_cast<std::uint8_t>((v >> (8 * b)) & 0xFF);
     }
 
     if (!entryLabel_.empty())
-        prog_.entry = symAddr(entryLabel_, 0);
+        prog_.entry = static_cast<Addr>(
+            resolve({ImmSpec::Symbol, 0, entryLabel_}, 0));
     return std::move(prog_);
 }
 

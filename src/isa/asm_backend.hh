@@ -143,8 +143,7 @@ class AsmBackend
     struct DataFixup
     {
         std::size_t offset;         ///< byte offset in the data vector
-        std::string_view symbol;
-        std::int64_t addend;
+        ImmSpec imm;
         int line;
     };
 
@@ -160,6 +159,8 @@ class AsmBackend
     static bool isInt(const AsmOperand &op);
     std::int64_t intValue(const AsmOperand &op) const;
     ImmSpec imm(const AsmOperand &op) const;
+    /** The value of @p s once every label is known (text and data). */
+    std::int64_t resolve(const ImmSpec &s, int line) const;
     /** A Token's or Symbol's text; empty for any other operand. */
     static std::string_view name(const AsmOperand &op);
 

@@ -74,13 +74,6 @@ SimBuilder::frequency(MHz f)
 }
 
 SimBuilder &
-SimBuilder::blockCache(bool on)
-{
-    blockCache_ = on;
-    return *this;
-}
-
-SimBuilder &
 SimBuilder::cores(int n)
 {
     if (n < 1)
@@ -130,9 +123,9 @@ void
 SimBuilder::buildPipeline(Rig &rig, CpuKind kind) const
 {
     if (kind == CpuKind::Simple)
-        rig.build<SimpleCpu>(blockCache_, false, freq_);
+        rig.build<SimpleCpu>(std::nullopt, false, freq_);
     else
-        rig.build<OooCpu>(blockCache_, kind == CpuKind::ComplexSimpleMode,
+        rig.build<OooCpu>(std::nullopt, kind == CpuKind::ComplexSimpleMode,
                           freq_);
 }
 

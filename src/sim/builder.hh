@@ -26,7 +26,6 @@
 #define VISA_SIM_BUILDER_HH
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "chip/chip.hh"
@@ -110,15 +109,6 @@ class SimBuilder
     /** Initial clock; defaults to the pipeline's reset frequency. */
     SimBuilder &frequency(MHz f);
     /**
-     * Enable or disable the functional core's basic-block translation
-     * cache for the built pipelines. Defaults to the process-wide
-     * default (ExecCore::blockCacheDefault, flipped by the tools'
-     * --no-block-cache flag); both settings are architecturally
-     * identical, so this is an escape hatch and differential knob.
-     */
-    SimBuilder &blockCache(bool on);
-
-    /**
      * Chip width for buildChip(): @p n cores in front of the shared
      * bus + L2. One core (the default) keeps the private-channel
      * memory model; two or more attach every core's MemController to
@@ -162,7 +152,6 @@ class SimBuilder
     CpuKind cpuKind_ = CpuKind::Simple;
     bool cpuKindSet_ = false;
     MHz freq_ = 0;
-    std::optional<bool> blockCache_;
     int cores_ = 1;
     RuntimeKind runtimeKind_ = RuntimeKind::None;
     const WcetTable *wcet_ = nullptr;

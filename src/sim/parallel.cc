@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <thread>
 
 namespace visa
 {
@@ -18,79 +19,6 @@ simThreads()
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
-}
-
-ThreadPool::ThreadPool(unsigned threads)
-    : nThreads_(threads)
-{
-    if (nThreads_ <= 1)
-        return;
-    workers_.reserve(nThreads_);
-    for (unsigned i = 0; i < nThreads_; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    wait();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    haveWork_.notify_all();
-    for (auto &w : workers_)
-        w.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> job)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        queue_.push_back(std::move(job));
-        ++pending_;
-    }
-    haveWork_.notify_one();
-}
-
-bool
-ThreadPool::runOne(std::unique_lock<std::mutex> &lock)
-{
-    if (queue_.empty())
-        return false;
-    std::function<void()> job = std::move(queue_.front());
-    queue_.pop_front();
-    lock.unlock();
-    job();
-    lock.lock();
-    if (--pending_ == 0)
-        allDone_.notify_all();
-    return true;
-}
-
-void
-ThreadPool::workerLoop()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (true) {
-        if (runOne(lock))
-            continue;
-        if (stopping_)
-            return;
-        haveWork_.wait(lock,
-                       [this] { return !queue_.empty() || stopping_; });
-    }
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    // Help drain the queue instead of just blocking; this is also the
-    // only execution path when the pool has no worker threads.
-    while (runOne(lock)) {
-    }
-    allDone_.wait(lock, [this] { return pending_ == 0; });
 }
 
 namespace detail

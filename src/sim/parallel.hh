@@ -13,9 +13,7 @@
  * threads draw from the same simThreads()-sized worker set, and a
  * nested parallelFor never spawns extra threads — the nested caller
  * claims its own indices while idle workers steal them, so chip-inside-
- * campaign parallelism cannot oversubscribe the host. The standalone
- * ThreadPool class below remains for callers that want a private,
- * explicitly-sized queue.
+ * campaign parallelism cannot oversubscribe the host.
  */
 
 #ifndef VISA_SIM_PARALLEL_HH
@@ -23,11 +21,9 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 namespace visa
@@ -41,48 +37,6 @@ namespace visa
  * machines.
  */
 unsigned simThreads();
-
-/** A fixed-size work-queue thread pool. */
-class ThreadPool
-{
-  public:
-    /**
-     * Start @p threads workers. A count of 0 or 1 starts no worker
-     * threads; submitted jobs then run inline in wait().
-     */
-    explicit ThreadPool(unsigned threads = simThreads());
-
-    /** Drains the queue (runs remaining jobs) before joining. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Enqueue a job. Jobs must not throw (wrap and capture instead). */
-    void submit(std::function<void()> job);
-
-    /**
-     * Run queued jobs on the calling thread too, then block until every
-     * submitted job has finished.
-     */
-    void wait();
-
-    unsigned threads() const { return nThreads_; }
-
-  private:
-    void workerLoop();
-    /** Pop-and-run one job. @return false if the queue was empty. */
-    bool runOne(std::unique_lock<std::mutex> &lock);
-
-    unsigned nThreads_;
-    std::vector<std::thread> workers_;
-    std::deque<std::function<void()>> queue_;
-    std::mutex mutex_;
-    std::condition_variable haveWork_;
-    std::condition_variable allDone_;
-    std::size_t pending_ = 0;    ///< queued + currently running
-    bool stopping_ = false;
-};
 
 namespace detail
 {

@@ -32,6 +32,7 @@
 
 #include <string>
 
+#include "core/experiment.hh"
 #include "sim/types.hh"
 #include "verify/progen.hh"
 
@@ -44,7 +45,7 @@ struct OracleOptions
     MHz fSpec = 1000;
     MHz fRec = 600;
     /** Reconfiguration + frequency-switch overhead, seconds. */
-    double ovhdSeconds = 2e-6;
+    double ovhdSeconds = experimentOvhdSeconds;
     /** Deadline slack factor over ovhd + WCET_task(f_rec). */
     double deadlineSlack = 1.10;
     /** Run the forced-expiry recovery check (costs one more rig run). */

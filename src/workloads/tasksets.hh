@@ -3,7 +3,7 @@
  * Task-set vocabulary for the multi-task scheduler experiments: named
  * benchmark bundles (built from the C-lab suite) and a parser for
  * ad-hoc "cnt,mm:2,srt" member lists. This module only names members;
- * budgets and periods are derived by the harness (bench/bench_util.hh)
+ * budgets and periods are derived by makeTaskSetDefs (core/experiment.hh)
  * from the analyzed WCETs and a target core utilization.
  */
 

@@ -100,6 +100,28 @@ f:      .word a
     EXPECT_EQ(v, p.symbol("a"));
 }
 
+TEST(Assembler, HiLoInDataWordsStoreTheHalves)
+{
+    // .word resolves %hi/%lo exactly as an instruction immediate does.
+    Program p = assemble(R"(
+        lui r1, %hi(tab)
+        halt
+        .data
+tab:    .word %hi(tab), %lo(tab), tab
+    )");
+    ASSERT_EQ(p.symbol("tab"), 0x10000000u);
+    EXPECT_EQ(p.text[0].imm, 0x1000);
+    auto word = [&](std::size_t i) {
+        Word v = 0;
+        for (int b = 3; b >= 0; --b)
+            v = (v << 8) | p.data[4 * i + static_cast<std::size_t>(b)];
+        return v;
+    };
+    EXPECT_EQ(word(0), 0x1000u);
+    EXPECT_EQ(word(1), 0x0000u);
+    EXPECT_EQ(word(2), 0x10000000u);
+}
+
 TEST(Assembler, PseudoLi)
 {
     Program p = assemble(R"(

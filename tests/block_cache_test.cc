@@ -118,24 +118,17 @@ TEST(BlockCache, SelfModifyingPipelineMatchesUncached)
 {
     // The same program through a full SimpleCpu pipeline (which steps
     // the core instruction-at-a-time through the cached dispatch),
-    // cache on vs off via the SimBuilder knob.
-    auto run = [&](bool cache) {
-        auto sim = SimBuilder()
-                       .source(selfModifySource)
-                       .cpu(CpuKind::Simple)
-                       .blockCache(cache)
-                       .build();
-        sim->cpu().run(noCycleLimit);
-        return sim;
-    };
-    auto on = run(true);
-    auto off = run(false);
-    EXPECT_EQ(on->cpu().execCore().blockCacheStats().enabled, true);
-    EXPECT_EQ(off->cpu().execCore().blockCacheStats().enabled, false);
-    EXPECT_EQ(on->cpu().cycles(), off->cpu().cycles());
-    expectSameArchState(on->cpu().arch(), off->cpu().arch());
-    EXPECT_EQ(on->cpu().arch().readInt(10), 5u);
-    EXPECT_EQ(on->cpu().arch().readInt(11), 77u);
+    // cache on vs off via the rig's block-cache argument.
+    const Program prog = assemble(selfModifySource);
+    Rig on(prog), off(prog);
+    on.build<SimpleCpu>(true).run(noCycleLimit);
+    off.build<SimpleCpu>(false).run(noCycleLimit);
+    EXPECT_EQ(on.cpu().execCore().blockCacheStats().enabled, true);
+    EXPECT_EQ(off.cpu().execCore().blockCacheStats().enabled, false);
+    EXPECT_EQ(on.cpu().cycles(), off.cpu().cycles());
+    expectSameArchState(on.cpu().arch(), off.cpu().arch());
+    EXPECT_EQ(on.cpu().arch().readInt(10), 5u);
+    EXPECT_EQ(on.cpu().arch().readInt(11), 77u);
 }
 
 TEST(BlockCache, RunFunctionalMatchesPerStepReference)
@@ -265,14 +258,11 @@ TEST(BlockCache, StatsGroupExported)
 std::string
 runStatsArm(const Workload &wl)
 {
-    auto sim = SimBuilder()
-                   .program(wl.program)
-                   .cpu(CpuKind::Simple)
-                   .blockCache(true)
-                   .build();
-    sim->cpu().run(noCycleLimit);
+    Rig rig(wl.program);
+    SimpleCpu &cpu = rig.build<SimpleCpu>(true);
+    cpu.run(noCycleLimit);
     std::ostringstream os;
-    sim->cpu().dumpStatsJson(os);
+    cpu.dumpStatsJson(os);
     return os.str();
 }
 

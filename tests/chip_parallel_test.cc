@@ -16,9 +16,9 @@
 #include <sstream>
 #include <string>
 
-#include "bench/bench_util.hh"
 #include "chip/chip.hh"
 #include "chip/paired.hh"
+#include "core/experiment.hh"
 #include "core/scheduler.hh"
 #include "sim/builder.hh"
 #include "sim/cli.hh"
@@ -35,7 +35,6 @@ namespace visa
 namespace
 {
 
-using bench::makeTaskSetDefs;
 using test::ScopedThreads;
 
 /** Everything a determinism comparison needs from one run. */

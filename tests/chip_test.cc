@@ -14,10 +14,10 @@
 
 #include <sstream>
 
-#include "bench/bench_util.hh"
 #include "chip/chip.hh"
 #include "chip/interconnect.hh"
 #include "chip/paired.hh"
+#include "core/experiment.hh"
 #include "core/scheduler.hh"
 #include "sim/builder.hh"
 #include "sim/logging.hh"
@@ -30,8 +30,6 @@ namespace visa
 {
 namespace
 {
-
-using bench::makeTaskSetDefs;
 
 void
 addAll(MultiTaskScheduler &sched, const std::vector<SchedTaskDef> &defs)
@@ -165,8 +163,9 @@ TEST(Chip, SingleCoreChipMatchesHistoricalRig)
     // cores(1) must be the pre-chip rig bit-for-bit: same cycles, same
     // retired count (the bus is never attached for one core).
     const Workload wl = makeWorkload("cnt");
-    bench::Rig<OooCpu> rig(wl.program);
-    rig.cpu->run(20'000'000'000ULL);
+    Rig rig(wl.program);
+    OooCpu &cpu = rig.build<OooCpu>();
+    cpu.run(20'000'000'000ULL);
 
     auto c = SimBuilder()
                  .workload("cnt")
@@ -175,8 +174,8 @@ TEST(Chip, SingleCoreChipMatchesHistoricalRig)
                  .buildChip();
     const chip::Chip::RunAllResult r = c->runAll(20'000'000'000ULL);
     ASSERT_TRUE(r.allHalted);
-    EXPECT_EQ(c->core(0).ooo().retired(), rig.cpu->retired());
-    EXPECT_EQ(c->core(0).ooo().cycles(), rig.cpu->cycles());
+    EXPECT_EQ(c->core(0).ooo().retired(), cpu.retired());
+    EXPECT_EQ(c->core(0).ooo().cycles(), cpu.cycles());
     EXPECT_EQ(c->bus().requests(), 0u);
 }
 

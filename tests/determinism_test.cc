@@ -14,7 +14,9 @@
 #include <vector>
 
 #include "core/concurrency.hh"
+#include "core/experiment.hh"
 #include "core/runtime.hh"
+#include "cpu/rig.hh"
 #include "sim/parallel.hh"
 #include "sim/trace.hh"
 #include "tests/test_util.hh"
@@ -32,18 +34,14 @@ TEST(Determinism, OooCpuIsBitExactAcrossRuns)
     Workload wl = makeWorkload("fft");
     Cycles first = 0;
     for (int i = 0; i < 3; ++i) {
-        MainMemory mem;
-        Platform plat;
-        MemController mc;
-        mem.loadProgram(wl.program);
-        OooCpu cpu(wl.program, mem, plat, mc);
-        cpu.resetForTask();
+        Rig rig(wl.program);
+        OooCpu &cpu = rig.build<OooCpu>();
         cpu.run(20'000'000'000ULL);
         if (i == 0)
             first = cpu.cycles();
         else
             EXPECT_EQ(cpu.cycles(), first) << "run " << i;
-        EXPECT_EQ(plat.lastChecksum(), wl.expectedChecksum);
+        EXPECT_EQ(rig.platform().lastChecksum(), wl.expectedChecksum);
     }
 }
 
@@ -92,27 +90,20 @@ TEST(CfgTopoOrder, RespectsForwardEdges)
 
 TEST(RuntimeHistogramPolicy, RunsSafelyEndToEnd)
 {
-    Workload wl = makeWorkload("mm");
-    WcetAnalyzer analyzer(wl.program);
-    DMissProfile dmiss = profileDataMisses(wl.program);
-    DvsTable dvs;
-    WcetTable wcet(analyzer, dvs, &dmiss);
-    MainMemory mem;
-    Platform plat;
-    MemController mc;
-    mem.loadProgram(wl.program);
-    OooCpu cpu(wl.program, mem, plat, mc);
+    const KernelAnalysis a("mm");
+    Rig rig(a.wl.program);
     RuntimeConfig cfg;
-    cfg.deadlineSeconds = wcet.taskSeconds(650);
-    cfg.ovhdSeconds = 2e-6;
+    cfg.deadlineSeconds = a.wcet.taskSeconds(650);
+    cfg.ovhdSeconds = experimentOvhdSeconds;
     cfg.petPolicy.kind = PetPolicy::Histogram;
     cfg.petPolicy.targetMissRate = 0.1;
-    VisaComplexRuntime rt(cpu, wl.program, mem, wcet, dvs, cfg);
-    rt.pets().seed(profileComplexAets(wl.program, wl.numSubtasks));
+    VisaComplexRuntime rt(rig.build<OooCpu>(), a.wl.program, rig.mem(),
+                          a.wcet, a.dvs, cfg);
+    rt.pets().seed(profileComplexAets(a.wl.program, a.wl.numSubtasks));
     for (int t = 0; t < 15; ++t) {
         TaskStats ts = rt.runTask();
         EXPECT_TRUE(ts.deadlineMet) << t;
-        EXPECT_EQ(ts.checksum, wl.expectedChecksum);
+        EXPECT_EQ(ts.checksum, a.wl.expectedChecksum);
     }
     EXPECT_EQ(rt.stats().deadlineMisses, 0);
 }
@@ -122,22 +113,15 @@ TEST(SlackEdgeCases, NoBackgroundWorkWithoutSlack)
     // A deadline equal to the static requirement leaves ~no slack at
     // the floor frequency; the scheduler must grant ~nothing and must
     // not disturb the hard task.
-    Workload wl = makeWorkload("cnt");
-    WcetAnalyzer analyzer(wl.program);
-    DMissProfile dmiss = profileDataMisses(wl.program);
-    DvsTable dvs;
-    WcetTable wcet(analyzer, dvs, &dmiss);
-    MainMemory mem;
-    Platform plat;
-    MemController mc;
-    mem.loadProgram(wl.program);
-    SimpleCpu cpu(wl.program, mem, plat, mc);
+    const KernelAnalysis a("cnt");
+    Rig rig(a.wl.program);
     RuntimeConfig cfg;
-    cfg.deadlineSeconds = wcet.taskSeconds(1000) * 1.001;
-    cfg.ovhdSeconds = 2e-6;
-    SimpleFixedRuntime rt(cpu, wl.program, mem, wcet, dvs, cfg);
+    cfg.deadlineSeconds = a.wcet.taskSeconds(1000) * 1.001;
+    cfg.ovhdSeconds = experimentOvhdSeconds;
+    SimpleFixedRuntime rt(rig.build<SimpleCpu>(), a.wl.program, rig.mem(),
+                          a.wcet, a.dvs, cfg);
     Program bg = assemble("idle:   j idle_done\nidle_done: halt");
-    SlackScheduler sched(rt, bg, dvs);
+    SlackScheduler sched(rt, bg, a.dvs);
     TaskStats ts = sched.runPeriod();
     EXPECT_TRUE(ts.deadlineMet);
     // The hard task runs near the top setting: slack per period is a
@@ -162,26 +146,18 @@ runArm(const Workload &wl)
 {
     ArmResult r;
     {
-        MainMemory mem;
-        Platform plat;
-        MemController mc;
-        mem.loadProgram(wl.program);
-        SimpleCpu cpu(wl.program, mem, plat, mc);
-        cpu.resetForTask();
+        Rig rig(wl.program);
+        SimpleCpu &cpu = rig.build<SimpleCpu>();
         cpu.run(20'000'000'000ULL);
         r.simpleCycles = cpu.cycles();
-        r.simpleChecksum = plat.lastChecksum();
+        r.simpleChecksum = rig.platform().lastChecksum();
     }
     {
-        MainMemory mem;
-        Platform plat;
-        MemController mc;
-        mem.loadProgram(wl.program);
-        OooCpu cpu(wl.program, mem, plat, mc);
-        cpu.resetForTask();
+        Rig rig(wl.program);
+        OooCpu &cpu = rig.build<OooCpu>();
         cpu.run(20'000'000'000ULL);
         r.complexCycles = cpu.cycles();
-        r.complexChecksum = plat.lastChecksum();
+        r.complexChecksum = rig.platform().lastChecksum();
     }
     return r;
 }
@@ -191,12 +167,8 @@ runArm(const Workload &wl)
 std::string
 runTracedArm(const Workload &wl)
 {
-    MainMemory mem;
-    Platform plat;
-    MemController mc;
-    mem.loadProgram(wl.program);
-    OooCpu cpu(wl.program, mem, plat, mc);
-    cpu.resetForTask();
+    Rig rig(wl.program);
+    OooCpu &cpu = rig.build<OooCpu>();
     Tracer tracer(1 << 22);
     {
         ScopedTracer scope(tracer);

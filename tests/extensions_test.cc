@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "core/concurrency.hh"
+#include "core/experiment.hh"
 #include "core/wcet_binary.hh"
+#include "cpu/rig.hh"
 #include "isa/assembler.hh"
 #include "sim/logging.hh"
 #include "tests/test_util.hh"
@@ -31,35 +33,27 @@ bg:     add  r5, r5, r4
         halt
 )";
 
-struct ConcurrencyStack
+struct ConcurrencyStack : KernelAnalysis
 {
     ConcurrencyStack()
-        : wl(makeWorkload("cnt")), analyzer(wl.program),
-          dmiss(profileDataMisses(wl.program)),
-          wcet(analyzer, dvs, &dmiss), bg(assemble(backgroundSource))
+        : KernelAnalysis("cnt"), bg(assemble(backgroundSource)),
+          rig(wl.program)
     {
-        mem.loadProgram(wl.program);
     }
 
-    Workload wl;
-    WcetAnalyzer analyzer;
-    DMissProfile dmiss;
-    DvsTable dvs;
-    WcetTable wcet;
     Program bg;
-    MainMemory mem;
-    Platform platform;
-    MemController memctrl;
+    Rig rig;
 };
 
 TEST(SlackScheduler, BackgroundWorkRunsInTheSlack)
 {
     ConcurrencyStack s;
-    OooCpu cpu(s.wl.program, s.mem, s.platform, s.memctrl);
+    OooCpu &cpu = s.rig.build<OooCpu>();
     RuntimeConfig cfg;
     cfg.deadlineSeconds = s.wcet.taskSeconds(600);
-    cfg.ovhdSeconds = 2e-6;
-    VisaComplexRuntime rt(cpu, s.wl.program, s.mem, s.wcet, s.dvs, cfg);
+    cfg.ovhdSeconds = experimentOvhdSeconds;
+    VisaComplexRuntime rt(cpu, s.wl.program, s.rig.mem(), s.wcet, s.dvs,
+                          cfg);
     rt.pets().seed(profileComplexAets(s.wl.program, s.wl.numSubtasks));
 
     SlackScheduler sched(rt, s.bg, s.dvs);
@@ -80,12 +74,12 @@ TEST(SlackScheduler, FasterProcessorYieldsMoreBackgroundThroughput)
     // The paper's point: the complex pipeline's earlier completions
     // buy more slack than the explicitly-safe pipeline's.
     ConcurrencyStack sc;
-    OooCpu ooo(sc.wl.program, sc.mem, sc.platform, sc.memctrl);
+    OooCpu &ooo = sc.rig.build<OooCpu>();
     RuntimeConfig cfg;
     cfg.deadlineSeconds = sc.wcet.taskSeconds(600);
-    cfg.ovhdSeconds = 2e-6;
-    VisaComplexRuntime crt(ooo, sc.wl.program, sc.mem, sc.wcet, sc.dvs,
-                           cfg);
+    cfg.ovhdSeconds = experimentOvhdSeconds;
+    VisaComplexRuntime crt(ooo, sc.wl.program, sc.rig.mem(), sc.wcet,
+                           sc.dvs, cfg);
     crt.pets().seed(profileComplexAets(sc.wl.program, sc.wl.numSubtasks));
     // Pin the complex processor to the top frequency: here slack is
     // harvested for throughput rather than for DVS (§1.1 lists these
@@ -93,11 +87,11 @@ TEST(SlackScheduler, FasterProcessorYieldsMoreBackgroundThroughput)
     SlackScheduler csched(crt, sc.bg, sc.dvs);
 
     ConcurrencyStack ss;
-    SimpleCpu simple(ss.wl.program, ss.mem, ss.platform, ss.memctrl);
+    SimpleCpu &simple = ss.rig.build<SimpleCpu>();
     RuntimeConfig scfg;
     scfg.deadlineSeconds = ss.wcet.taskSeconds(600);
-    scfg.ovhdSeconds = 2e-6;
-    SimpleFixedRuntime srt(simple, ss.wl.program, ss.mem, ss.wcet,
+    scfg.ovhdSeconds = experimentOvhdSeconds;
+    SimpleFixedRuntime srt(simple, ss.wl.program, ss.rig.mem(), ss.wcet,
                            ss.dvs, scfg);
     SlackScheduler ssched(srt, ss.bg, ss.dvs);
 
@@ -188,13 +182,9 @@ TEST_F(ParamWcetTest, SafeOnADifferentVisaCompliantSystem)
     ParameterizedWcet on_target = ParameterizedWcet::deserialize(shipped);
 
     const double target_mem_ns = 140.0;
-    MainMemory mem;
-    Platform platform;
-    MemController memctrl({target_mem_ns, 30.0, 8});
-    mem.loadProgram(wl_.program);
-    SimpleCpu cpu(wl_.program, mem, platform, memctrl);
-    cpu.resetForTask();
-    cpu.setFrequency(750);
+    Rig rig(wl_.program);
+    rig.memctrl() = MemController({target_mem_ns, 30.0, 8});
+    SimpleCpu &cpu = rig.build<SimpleCpu>(std::nullopt, false, 750);
     auto res = cpu.run(2'000'000'000ULL);
     ASSERT_EQ(res.reason, StopReason::Halted);
     EXPECT_GE(on_target.taskCycles(750, target_mem_ns), cpu.cycles());

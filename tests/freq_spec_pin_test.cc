@@ -45,7 +45,9 @@ using test::Fnv1a;
 using verify::GenProfile;
 
 /** Set-up's EQ 4 terms: the 2 us switch overhead and the DVS software
- *  plus drain budget charged at f_spec (visa-bench's runtimeConfig). */
+ *  plus drain budget charged at f_spec (visa-bench's runtimeConfig).
+ *  Literals, not core/experiment.hh: the pins mirror the benchmark's
+ *  frozen set-up, which must not move when the experiments' does. */
 constexpr double ovhdSeconds = 2e-6;
 constexpr Cycles setupExtraCycles = 500 + 512;
 constexpr Cycles armDelayCycles = 500;

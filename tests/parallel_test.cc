@@ -106,41 +106,5 @@ TEST(ParallelFor, NestedCallsAreSafe)
     EXPECT_EQ(total.load(), 12);
 }
 
-TEST(ThreadPool, SubmitWaitAndReuseAcrossWaves)
-{
-    ThreadPool pool(2);
-    EXPECT_EQ(pool.threads(), 2u);
-    std::atomic<int> sum{0};
-    for (int wave = 0; wave < 3; ++wave) {
-        for (int j = 0; j < 16; ++j)
-            pool.submit([&sum] { ++sum; });
-        pool.wait();
-        EXPECT_EQ(sum.load(), 16 * (wave + 1));
-    }
-}
-
-TEST(ThreadPool, ZeroThreadsRunsInlineOnWait)
-{
-    ThreadPool pool(0);
-    int ran = 0;
-    pool.submit([&ran] { ++ran; });
-    pool.submit([&ran] { ++ran; });
-    EXPECT_EQ(pool.threads(), 0u);
-    pool.wait();
-    EXPECT_EQ(ran, 2);
-}
-
-TEST(ThreadPool, DestructorDrainsQueue)
-{
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(2);
-        for (int j = 0; j < 8; ++j)
-            pool.submit([&ran] { ++ran; });
-        // no explicit wait()
-    }
-    EXPECT_EQ(ran.load(), 8);
-}
-
 } // anonymous namespace
 } // namespace visa

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.hh"
 #include "core/runtime.hh"
 #include "cpu/ooo_cpu.hh"
 #include "cpu/simple_cpu.hh"
@@ -185,33 +186,11 @@ TEST(Prof, RuntimeCheckpointJoinMatchesAetCounter)
     // Full VISA runtime instances: every guest AET report must land in
     // the profile, and the profile's AET total must equal the
     // run-time system's own counter exactly.
-    struct Stack
-    {
-        explicit Stack(const std::string &name)
-            : wl(makeWorkload(name)), analyzer(wl.program),
-              dmiss(profileDataMisses(wl.program)),
-              wcet(analyzer, dvs, &dmiss)
-        {
-            mem.loadProgram(wl.program);
-        }
-        Workload wl;
-        WcetAnalyzer analyzer;
-        DMissProfile dmiss;
-        DvsTable dvs;
-        WcetTable wcet;
-        MainMemory mem;
-        Platform platform;
-        MemController memctrl;
-    };
-
-    Stack s("cnt");
-    OooCpu cpu(s.wl.program, s.mem, s.platform, s.memctrl);
-    RuntimeConfig cfg;
-    cfg.deadlineSeconds = s.wcet.taskSeconds(600);
-    cfg.ovhdSeconds = 2e-6;
-    cfg.dvsSoftwareCycles = 500;
-    cfg.drainBudgetCycles = 512;
-    VisaComplexRuntime rt(cpu, s.wl.program, s.mem, s.wcet, s.dvs, cfg);
+    const KernelAnalysis s("cnt");
+    Rig rig(s.wl.program);
+    VisaComplexRuntime rt(rig.build<OooCpu>(), s.wl.program, rig.mem(),
+                          s.wcet, s.dvs,
+                          experimentRuntimeConfig(s.wcet.taskSeconds(600)));
 
     prof::BlockProfiler prof(s.wl.program);
     constexpr int tasks = 6;
@@ -244,14 +223,11 @@ TEST(Prof, RuntimeCheckpointJoinMatchesAetCounter)
 
 TEST(Prof, WcetAttributionSumsToTable)
 {
-    const Workload wl = makeWorkload("cnt");
-    WcetAnalyzer analyzer(wl.program);
-    const DMissProfile dmiss = profileDataMisses(wl.program);
-    DvsTable dvs;
-    WcetTable wcet(analyzer, dvs, &dmiss);
+    const KernelAnalysis a("cnt");
+    const WcetTable &wcet = a.wcet;
 
-    for (MHz f : {dvs.minFreq(), dvs.maxFreq()}) {
-        const WcetAttribution attr = analyzer.attribute(f, &dmiss);
+    for (MHz f : {a.dvs.minFreq(), a.dvs.maxFreq()}) {
+        const WcetAttribution attr = a.analyzer.attribute(f, &a.dmiss);
         EXPECT_EQ(attr.frequency, f);
         ASSERT_EQ(attr.subtaskCharges.size(),
                   static_cast<std::size_t>(wcet.numSubtasks()));
@@ -329,15 +305,12 @@ TEST(Prof, ProfileJsonParsesAndMatchesAccessors)
 std::string
 profileArm(const Workload &wl)
 {
-    auto sim = SimBuilder()
-                   .program(wl.program)
-                   .cpu(CpuKind::Simple)
-                   .blockCache(true)
-                   .build();
+    Rig rig(wl.program);
+    SimpleCpu &cpu = rig.build<SimpleCpu>(true);
     prof::BlockProfiler prof(wl.program);
     {
         prof::ScopedProfiler scope(prof);
-        sim->cpu().run(noCycleLimit);
+        cpu.run(noCycleLimit);
     }
     std::ostringstream os;
     prof.writeJson(os);

@@ -16,6 +16,7 @@
 #include <sstream>
 
 #include "core/concurrency.hh"
+#include "core/experiment.hh"
 #include "isa/assembler.hh"
 #include "sim/builder.hh"
 #include "tests/test_util.hh"
@@ -125,11 +126,8 @@ TEST(RigPin, DataMissCounts)
 
 TEST(RigPin, SlackSchedulerBackground)
 {
-    const Workload wl = makeWorkload("cnt");
-    const WcetAnalyzer analyzer(wl.program);
-    const DMissProfile dmiss = profileDataMisses(wl.program);
-    const DvsTable dvs;
-    const WcetTable wcet(analyzer, dvs, &dmiss);
+    const KernelAnalysis a("cnt");
+    const Workload &wl = a.wl;
     const Program bg = assemble(R"(
         addi r4, r0, 500
 bg:     add  r5, r5, r4
@@ -139,15 +137,15 @@ bg:     add  r5, r5, r4
         halt
 )");
     RuntimeConfig cfg;
-    cfg.deadlineSeconds = wcet.taskSeconds(600);
-    cfg.ovhdSeconds = 2e-6;
+    cfg.deadlineSeconds = a.wcet.taskSeconds(600);
+    cfg.ovhdSeconds = experimentOvhdSeconds;
     auto sim = SimBuilder()
                    .program(wl.program)
-                   .runtime(RuntimeKind::Visa, wcet, dvs, cfg)
+                   .runtime(RuntimeKind::Visa, a.wcet, a.dvs, cfg)
                    .build();
     sim->runtime().pets().seed(
         profileComplexAets(wl.program, wl.numSubtasks));
-    SlackScheduler sched(sim->runtime(), bg, dvs);
+    SlackScheduler sched(sim->runtime(), bg, a.dvs);
 
     Fnv1a h;
     for (int p = 0; p < 10; ++p) {

@@ -9,56 +9,35 @@
 
 #include <gtest/gtest.h>
 
+#include "core/experiment.hh"
 #include "core/runtime.hh"
+#include "cpu/rig.hh"
 #include "power/meter.hh"
 #include "sim/logging.hh"
-#include "wcet/analyzer.hh"
-#include "workloads/clab.hh"
 
 namespace visa
 {
 namespace
 {
 
-/** Full experiment stack around one workload. */
-struct Stack
+/** Full experiment stack around one workload: its analysis and a rig. */
+struct Stack : KernelAnalysis
 {
     explicit Stack(const std::string &name)
-        : wl(makeWorkload(name)), analyzer(wl.program),
-          dmiss(profileDataMisses(wl.program)),
-          wcet(analyzer, dvs, &dmiss)
+        : KernelAnalysis(name), rig(wl.program)
     {
-        mem.loadProgram(wl.program);
     }
 
-    RuntimeConfig
-    config(double deadline) const
-    {
-        RuntimeConfig cfg;
-        cfg.deadlineSeconds = deadline;
-        cfg.ovhdSeconds = 2e-6;
-        cfg.dvsSoftwareCycles = 500;
-        cfg.drainBudgetCycles = 512;
-        return cfg;
-    }
-
-    Workload wl;
-    WcetAnalyzer analyzer;
-    DMissProfile dmiss;
-    DvsTable dvs;
-    WcetTable wcet;
-    MainMemory mem;
-    Platform platform;
-    MemController memctrl;
+    Rig rig;
 };
 
 TEST(RuntimeComplex, AllTasksMeetDeadlineAndChecksum)
 {
     Stack s("cnt");
-    OooCpu cpu(s.wl.program, s.mem, s.platform, s.memctrl);
+    OooCpu &cpu = s.rig.build<OooCpu>();
     double d = s.wcet.taskSeconds(600);
-    VisaComplexRuntime rt(cpu, s.wl.program, s.mem, s.wcet, s.dvs,
-                          s.config(d));
+    VisaComplexRuntime rt(cpu, s.wl.program, s.rig.mem(), s.wcet, s.dvs,
+                          experimentRuntimeConfig(d));
     for (int t = 0; t < 24; ++t) {
         TaskStats ts = rt.runTask();
         EXPECT_TRUE(ts.deadlineMet) << "task " << t;
@@ -73,10 +52,10 @@ TEST(RuntimeComplex, AllTasksMeetDeadlineAndChecksum)
 TEST(RuntimeComplex, PetAdaptationLowersFrequency)
 {
     Stack s("mm");
-    OooCpu cpu(s.wl.program, s.mem, s.platform, s.memctrl);
+    OooCpu &cpu = s.rig.build<OooCpu>();
     double d = s.wcet.taskSeconds(700);
-    VisaComplexRuntime rt(cpu, s.wl.program, s.mem, s.wcet, s.dvs,
-                          s.config(d));
+    VisaComplexRuntime rt(cpu, s.wl.program, s.rig.mem(), s.wcet, s.dvs,
+                          experimentRuntimeConfig(d));
     MHz first = rt.runTask().fSpec;
     MHz last = first;
     for (int t = 1; t < 22; ++t)
@@ -90,26 +69,15 @@ TEST(RuntimeComplex, InducedMissesRecoverSafely)
 {
     // T3/T4 under stress: a near-minimum deadline plus cache flushes.
     Stack s("cnt");
-    OooCpu cpu(s.wl.program, s.mem, s.platform, s.memctrl);
+    OooCpu &cpu = s.rig.build<OooCpu>();
 
-    // Bisect the tightest feasible deadline with profiled PETs.
-    RuntimeConfig probe_cfg = s.config(1.0);
-    PetEstimator pets(s.wl.numSubtasks, probe_cfg.petPolicy);
-    pets.seed(profileComplexAets(s.wl.program, s.wl.numSubtasks));
-    double lo = s.wcet.taskSeconds(1000);
-    double hi = s.wcet.taskSeconds(100);
-    for (int i = 0; i < 40; ++i) {
-        double mid = 0.5 * (lo + hi);
-        bool ok = solveVisaSpeculation(
-                      s.wcet, pets, s.dvs, mid, probe_cfg.ovhdSeconds,
-                      probe_cfg.dvsSoftwareCycles +
-                          probe_cfg.drainBudgetCycles)
-                      .feasible;
-        (ok ? hi : lo) = mid;
-    }
+    // The tightest feasible deadline with profiled PETs.
+    const double min_d = minGuaranteeableDeadline(
+        s.wcet, s.dvs, profileComplexAets(s.wl.program, s.wl.numSubtasks),
+        experimentRuntimeConfig());
 
-    VisaComplexRuntime rt(cpu, s.wl.program, s.mem, s.wcet, s.dvs,
-                          s.config(hi * 1.01));
+    VisaComplexRuntime rt(cpu, s.wl.program, s.rig.mem(), s.wcet, s.dvs,
+                          experimentRuntimeConfig(min_d * 1.01));
     rt.pets().seed(profileComplexAets(s.wl.program, s.wl.numSubtasks,
                                       1.02));
     int misses = 0;
@@ -131,12 +99,12 @@ TEST(RuntimeComplex, InducedMissesRecoverSafely)
 TEST(RuntimeComplex, InfeasibleSpeculationFallsBackToSafeMode)
 {
     Stack s("cnt");
-    OooCpu cpu(s.wl.program, s.mem, s.platform, s.memctrl);
+    OooCpu &cpu = s.rig.build<OooCpu>();
     // A deadline only the static schedule satisfies: PETs seeded at
     // the WCETs make EQ 4 infeasible (ovhd eats the slack).
     double d = s.wcet.taskSeconds(1000) * 1.002;
-    VisaComplexRuntime rt(cpu, s.wl.program, s.mem, s.wcet, s.dvs,
-                          s.config(d));
+    VisaComplexRuntime rt(cpu, s.wl.program, s.rig.mem(), s.wcet, s.dvs,
+                          experimentRuntimeConfig(d));
     TaskStats ts = rt.runTask();
     EXPECT_FALSE(ts.speculating);
     EXPECT_TRUE(ts.deadlineMet);
@@ -147,19 +115,20 @@ TEST(RuntimeComplex, InfeasibleSpeculationFallsBackToSafeMode)
 TEST(RuntimeComplex, InfeasibleDeadlineIsFatal)
 {
     Stack s("cnt");
-    OooCpu cpu(s.wl.program, s.mem, s.platform, s.memctrl);
-    VisaComplexRuntime rt(cpu, s.wl.program, s.mem, s.wcet, s.dvs,
-                          s.config(s.wcet.taskSeconds(1000) * 0.5));
+    OooCpu &cpu = s.rig.build<OooCpu>();
+    const double d = s.wcet.taskSeconds(1000) * 0.5;
+    VisaComplexRuntime rt(cpu, s.wl.program, s.rig.mem(), s.wcet, s.dvs,
+                          experimentRuntimeConfig(d));
     EXPECT_THROW(rt.runTask(), FatalError);
 }
 
 TEST(RuntimeSimpleFixed, StaticScheduleWhenWcetIsTight)
 {
     Stack s("mm");
-    SimpleCpu cpu(s.wl.program, s.mem, s.platform, s.memctrl);
+    SimpleCpu &cpu = s.rig.build<SimpleCpu>();
     double d = s.wcet.taskSeconds(700);
-    SimpleFixedRuntime rt(cpu, s.wl.program, s.mem, s.wcet, s.dvs,
-                          s.config(d));
+    SimpleFixedRuntime rt(cpu, s.wl.program, s.rig.mem(), s.wcet, s.dvs,
+                          experimentRuntimeConfig(d));
     TaskStats ts = rt.runTask();
     // With WCET-seeded PETs, EQ 2 cannot beat the static frequency on
     // the first task.
@@ -172,10 +141,10 @@ TEST(RuntimeSimpleFixed, StaticScheduleWhenWcetIsTight)
 TEST(RuntimeSimpleFixed, SpeculationEngagesWhenItLowersFrequency)
 {
     Stack s("srt");    // srt's WCET is ~2x its typical time
-    SimpleCpu cpu(s.wl.program, s.mem, s.platform, s.memctrl);
+    SimpleCpu &cpu = s.rig.build<SimpleCpu>();
     double d = s.wcet.taskSeconds(700);
-    SimpleFixedRuntime rt(cpu, s.wl.program, s.mem, s.wcet, s.dvs,
-                          s.config(d));
+    SimpleFixedRuntime rt(cpu, s.wl.program, s.rig.mem(), s.wcet, s.dvs,
+                          experimentRuntimeConfig(d));
     MHz static_f = 0;
     bool speculated = false;
     for (int t = 0; t < 24; ++t) {
@@ -202,9 +171,9 @@ TEST(RuntimeMetering, ComplexBeatsSimpleFixedPowerAtEqualDeadline)
         Stack s("mm");
         double d = s.wcet.taskSeconds(700);
         if (use_complex) {
-            OooCpu cpu(s.wl.program, s.mem, s.platform, s.memctrl);
-            VisaComplexRuntime rt(cpu, s.wl.program, s.mem, s.wcet,
-                                  s.dvs, s.config(d));
+            OooCpu &cpu = s.rig.build<OooCpu>();
+            VisaComplexRuntime rt(cpu, s.wl.program, s.rig.mem(), s.wcet,
+                                  s.dvs, experimentRuntimeConfig(d));
             rt.pets().seed(
                 profileComplexAets(s.wl.program, s.wl.numSubtasks));
             PowerMeter meter(cpu, complexEnergyModel(), s.dvs,
@@ -215,9 +184,9 @@ TEST(RuntimeMetering, ComplexBeatsSimpleFixedPowerAtEqualDeadline)
             EXPECT_EQ(rt.stats().deadlineMisses, 0);
             return meter.averagePowerWatts();
         }
-        SimpleCpu cpu(s.wl.program, s.mem, s.platform, s.memctrl);
-        SimpleFixedRuntime rt(cpu, s.wl.program, s.mem, s.wcet, s.dvs,
-                              s.config(d));
+        SimpleCpu &cpu = s.rig.build<SimpleCpu>();
+        SimpleFixedRuntime rt(cpu, s.wl.program, s.rig.mem(), s.wcet,
+                              s.dvs, experimentRuntimeConfig(d));
         PowerMeter meter(cpu, simpleFixedEnergyModel(), s.dvs,
                          ClockGating::Perfect);
         rt.attachMeter(&meter);
@@ -242,16 +211,16 @@ TEST(RuntimeIncremental, SlicedInstanceMatchesRunTask)
     Stack sliced("cnt");
     const double d = whole.wcet.taskSeconds(600);
 
-    OooCpu cpu_w(whole.wl.program, whole.mem, whole.platform,
-                 whole.memctrl);
-    VisaComplexRuntime rt_w(cpu_w, whole.wl.program, whole.mem,
-                            whole.wcet, whole.dvs, whole.config(d));
+    OooCpu &cpu_w = whole.rig.build<OooCpu>();
+    VisaComplexRuntime rt_w(cpu_w, whole.wl.program, whole.rig.mem(),
+                            whole.wcet, whole.dvs,
+                            experimentRuntimeConfig(d));
     const TaskStats ref = rt_w.runTask();
 
-    OooCpu cpu_s(sliced.wl.program, sliced.mem, sliced.platform,
-                 sliced.memctrl);
-    VisaComplexRuntime rt_s(cpu_s, sliced.wl.program, sliced.mem,
-                            sliced.wcet, sliced.dvs, sliced.config(d));
+    OooCpu &cpu_s = sliced.rig.build<OooCpu>();
+    VisaComplexRuntime rt_s(cpu_s, sliced.wl.program, sliced.rig.mem(),
+                            sliced.wcet, sliced.dvs,
+                            experimentRuntimeConfig(d));
     rt_s.beginInstance();
     ASSERT_TRUE(rt_s.instanceActive());
     int slices = 0;
@@ -281,9 +250,9 @@ TEST(RuntimeIncremental, ForcedMissRecoversAcrossDrainedSlices)
     // take the normal recovery path and still finish correctly.
     Stack s("cnt");
     const double d = s.wcet.taskSeconds(600);
-    OooCpu cpu(s.wl.program, s.mem, s.platform, s.memctrl);
-    VisaComplexRuntime rt(cpu, s.wl.program, s.mem, s.wcet, s.dvs,
-                          s.config(d));
+    OooCpu &cpu = s.rig.build<OooCpu>();
+    VisaComplexRuntime rt(cpu, s.wl.program, s.rig.mem(), s.wcet, s.dvs,
+                          experimentRuntimeConfig(d));
 
     rt.forceNextMiss();
     rt.beginInstance();

@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.hh"
+#include "core/experiment.hh"
 #include "core/scheduler.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
@@ -39,7 +39,6 @@ namespace visa
 namespace
 {
 
-using bench::makeTaskSetDefs;
 using test::Fnv1a;
 using test::ScopedThreads;
 

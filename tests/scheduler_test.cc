@@ -6,14 +6,14 @@
  * forced recoveries never consume another task's slack), deterministic
  * tie-breaking, and the admission control that refuses infeasible
  * sets. Task definitions come from the same analyzed-benchmark path
- * the tools use (bench/bench_util.hh).
+ * the tools use (core/experiment.hh).
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "bench/bench_util.hh"
+#include "core/experiment.hh"
 #include "core/scheduler.hh"
 #include "workloads/tasksets.hh"
 
@@ -21,8 +21,6 @@ namespace visa
 {
 namespace
 {
-
-using bench::makeTaskSetDefs;
 
 std::vector<SchedTaskDef>
 trioDefs(double util)

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/experiment.hh"
 #include "core/runtime.hh"
 #include "cpu/ooo_cpu.hh"
 #include "cpu/simple_cpu.hh"
@@ -244,18 +245,13 @@ TEST(TracePipelines, TracingDoesNotPerturbTiming)
 
 TEST(TraceRuntime, VisaRunEmitsCheckpointAndDvsEvents)
 {
-    Workload wl = makeWorkload("cnt");
-    WcetAnalyzer analyzer(wl.program);
-    DMissProfile dmiss = profileDataMisses(wl.program);
-    DvsTable dvs;
-    WcetTable wcet(analyzer, dvs, &dmiss);
-    RuntimeConfig cfg;
-    cfg.deadlineSeconds = wcet.taskSeconds(650);
-    cfg.ovhdSeconds = 2e-6;
-    cfg.dvsSoftwareCycles = 500;
-    cfg.drainBudgetCycles = 512;
-    auto sim = SimBuilder().program(wl.program)
-                   .runtime(RuntimeKind::Visa, wcet, dvs, cfg).build();
+    const KernelAnalysis a("cnt");
+    const Workload &wl = a.wl;
+    auto sim = SimBuilder()
+                   .program(wl.program)
+                   .runtime(RuntimeKind::Visa, a.wcet, a.dvs,
+                            experimentRuntimeConfig(a.wcet.taskSeconds(650)))
+                   .build();
     DvsRuntime &rt = sim->runtime();
     rt.pets().seed(profileComplexAets(wl.program, wl.numSubtasks));
 
@@ -297,16 +293,13 @@ TEST(TraceRuntime, VisaRunEmitsCheckpointAndDvsEvents)
 
 TEST(TraceRuntime, RuntimeStatsGroupExportsSlackDistribution)
 {
-    Workload wl = makeWorkload("cnt");
-    WcetAnalyzer analyzer(wl.program);
-    DMissProfile dmiss = profileDataMisses(wl.program);
-    DvsTable dvs;
-    WcetTable wcet(analyzer, dvs, &dmiss);
+    const KernelAnalysis a("cnt");
+    const Workload &wl = a.wl;
     RuntimeConfig cfg;
-    cfg.deadlineSeconds = wcet.taskSeconds(650);
-    cfg.ovhdSeconds = 2e-6;
+    cfg.deadlineSeconds = a.wcet.taskSeconds(650);
+    cfg.ovhdSeconds = experimentOvhdSeconds;
     auto sim = SimBuilder().program(wl.program)
-                   .runtime(RuntimeKind::Visa, wcet, dvs, cfg).build();
+                   .runtime(RuntimeKind::Visa, a.wcet, a.dvs, cfg).build();
     DvsRuntime &rt = sim->runtime();
     rt.pets().seed(profileComplexAets(wl.program, wl.numSubtasks));
 

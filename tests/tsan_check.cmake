@@ -43,12 +43,13 @@ execute_process(
             # The threaded surfaces: the chip suites (epoch-buffered
             # free run + partitioned scheduler + paired detector), the
             # scheduler output pins (partitioned rows at 1 and 8
-            # threads), the worker-pool unit tests, and the
+            # threads), the worker-pool unit tests (ParallelFor),
+            # concurrent callers of the set-up cache, and the
             # differential_nocache sample (500 programs; the full
-            # 2000-program run is too slow under TSan's ~10x overhead).
-            # "bench_gate" stays out (wall-clock thresholds are
-            # meaningless when sanitized).
-            -R "chip_suite|Chip\\.|ChipParallel\\.|SchedulerPin\\.|Parallel\\.|RigPin\\.|differential_nocache"
+            # 2000-program run is too slow under TSan's ~10x
+            # overhead). "bench_gate" stays out (wall-clock thresholds
+            # are meaningless when sanitized).
+            -R "chip_suite|Chip\\.|ChipParallel\\.|SchedulerPin\\.|ParallelFor\\.|RigPin\\.|Experiment\\.CachedSetup|differential_nocache"
             --output-on-failure
     WORKING_DIRECTORY "${build_dir}"
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)

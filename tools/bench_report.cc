@@ -35,13 +35,14 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_util.hh"
+#include "core/experiment.hh"
+#include "cpu/rig.hh"
+#include "sim/builder.hh"
 #include "sim/cli.hh"
 #include "verify/lockstep.hh"
 #include "verify/progen.hh"
 
 using namespace visa;
-using namespace visa::bench;
 
 namespace
 {
@@ -198,8 +199,8 @@ std::uint64_t
 runCampaign(const ExperimentSetup &setup, int tasks)
 {
     const RuntimeConfig cfg = setup.runtimeConfig(setup.tightDeadline);
-    bench::Rig<CpuT> rig(setup.wl.program);
-    RuntimeT rt(*rig.cpu, setup.wl.program, rig.mem, *setup.wcet,
+    Rig rig(setup.wl.program);
+    RuntimeT rt(rig.build<CpuT>(), setup.wl.program, rig.mem(), setup.wcet,
                 setup.dvs, cfg);
     std::uint64_t insts = 0;
     for (int t = 0; t < tasks; ++t)
@@ -421,9 +422,10 @@ main(int argc, char **argv)
     results.push_back(measure("SimpleCpuRun", reps, [&wl] {
         std::uint64_t insts = 0;
         for (int p = 0; p < 10; ++p) {
-            bench::Rig<SimpleCpu> rig(wl.program);
-            rig.cpu->run(20'000'000'000ULL);
-            insts += rig.cpu->retired();
+            Rig rig(wl.program);
+            SimpleCpu &cpu = rig.build<SimpleCpu>();
+            cpu.run(20'000'000'000ULL);
+            insts += cpu.retired();
         }
         return insts;
     }));
@@ -431,9 +433,10 @@ main(int argc, char **argv)
     results.push_back(measure("OooCpuRun", reps, [&wl] {
         std::uint64_t insts = 0;
         for (int p = 0; p < 3; ++p) {
-            bench::Rig<OooCpu> rig(wl.program);
-            rig.cpu->run(20'000'000'000ULL);
-            insts += rig.cpu->retired();
+            Rig rig(wl.program);
+            OooCpu &cpu = rig.build<OooCpu>();
+            cpu.run(20'000'000'000ULL);
+            insts += cpu.retired();
         }
         return insts;
     }));
@@ -441,10 +444,10 @@ main(int argc, char **argv)
     results.push_back(measure("OooCpuSimpleMode", reps, [&wl] {
         std::uint64_t insts = 0;
         for (int p = 0; p < 10; ++p) {
-            bench::Rig<OooCpu> rig(wl.program);
-            rig.cpu->switchToSimple();
-            rig.cpu->run(20'000'000'000ULL);
-            insts += rig.cpu->retired();
+            Rig rig(wl.program);
+            OooCpu &cpu = rig.build<OooCpu>(std::nullopt, true);
+            cpu.run(20'000'000'000ULL);
+            insts += cpu.retired();
         }
         return insts;
     }));

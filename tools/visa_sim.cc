@@ -36,7 +36,7 @@
 #include <sstream>
 #include <string>
 
-#include "bench/bench_util.hh"
+#include "core/experiment.hh"
 #include "core/runtime.hh"
 #include "core/scheduler.hh"
 #include "isa/assembler.hh"
@@ -162,7 +162,7 @@ writeProfileOutputs(const Options &o, const prof::BlockProfiler &prof)
 
 /** Deadline/budget selector shared by --runtime and --taskset. */
 double
-resolveDeadline(const bench::ExperimentSetup &setup,
+resolveDeadline(const ExperimentSetup &setup,
                 const std::string &spec)
 {
     if (spec == "tight")
@@ -187,7 +187,7 @@ runUnderRuntime(const Options &o)
         fatal("--runtime must be 'visa' or 'simple', not '%s'",
               o.runtime.c_str());
 
-    const bench::ExperimentSetup &setup = bench::cachedSetup(o.workload);
+    const ExperimentSetup &setup = cachedSetup(o.workload);
     const double deadline = resolveDeadline(setup, o.deadline);
     const int num_tasks = std::stoi(o.tasks);
     const int induce_every = std::stoi(o.induce_every);
@@ -196,7 +196,7 @@ runUnderRuntime(const Options &o)
                    .program(setup.wl.program)
                    .runtime(o.runtime == "visa" ? RuntimeKind::Visa
                                                 : RuntimeKind::SimpleFixed,
-                            *setup.wcet, setup.dvs,
+                            setup.wcet, setup.dvs,
                             setup.runtimeConfig(deadline))
                    .build();
     DvsRuntime &rt = sim->runtime();
@@ -233,12 +233,12 @@ runUnderRuntime(const Options &o)
         // path broken into charges at the top setting.
         for (const DvsSetting &s : setup.dvs.settings()) {
             std::vector<std::uint64_t> bounds;
-            for (int k = 0; k < setup.wcet->numSubtasks(); ++k)
-                bounds.push_back(setup.wcet->subtaskCycles(k, s.freq));
+            for (int k = 0; k < setup.wcet.numSubtasks(); ++k)
+                bounds.push_back(setup.wcet.subtaskCycles(k, s.freq));
             profiler->setWcetBound(s.freq, std::move(bounds));
         }
         const WcetAttribution attr =
-            setup.analyzer->attribute(setup.dvs.maxFreq(), &setup.dmiss);
+            setup.analyzer.attribute(setup.dvs.maxFreq(), &setup.dmiss);
         std::vector<prof::SubtaskBound> sbounds;
         for (std::size_t k = 0; k < attr.subtaskCharges.size(); ++k) {
             prof::SubtaskBound b;
@@ -323,7 +323,7 @@ runTaskSet(const Options &o)
     const std::vector<TaskSetMemberSpec> members =
         parseTaskSet(o.taskset);
     std::vector<SchedTaskDef> defs =
-        bench::makeTaskSetDefs(members, std::stod(o.util));
+        makeTaskSetDefs(members, std::stod(o.util));
     bool force_matched = force_task.empty();
     for (SchedTaskDef &d : defs) {
         if (d.name == force_task) {
