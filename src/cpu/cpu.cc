@@ -4,7 +4,6 @@
 
 #include "isa/encoding.hh"
 #include "sim/logging.hh"
-#include "sim/prof/prof.hh"
 #include "sim/stats.hh"
 
 namespace visa
@@ -62,418 +61,6 @@ ExecCore::refill()
     cur_ = b->insts.data();
     curEnd_ = cur_ + b->count;
     cachePc_ = pc;
-}
-
-ExecCore::FuncRunResult
-ExecCore::runFunctional(std::uint64_t max_insts)
-{
-    // Hoisted once per run, like the pipelines hoist the tracer: the
-    // batch path below pays one predicted branch per *block* when no
-    // profiler is installed (and none at all under -DVISA_PROFILING=0,
-    // where currentProfiler() is a constant nullptr).
-    prof::BlockProfiler *const prof = prof::currentProfiler();
-    std::uint64_t n = 0;
-    if (!cacheOn_ || obs_) {
-        while (n < max_insts) {
-            const ExecInfo info = step(false);
-            ++n;
-            if (prof) [[unlikely]]
-                prof->countStep(info.pc, info.inst.isControl());
-            if (info.halted)
-                return {n, true};
-        }
-        return {n, false};
-    }
-
-#if !defined(__GNUC__) && !defined(__clang__)
-    // Portable fallback: the per-record dense-switch dispatch.
-    while (n < max_insts) {
-        const ExecInfo info = step(false);
-        ++n;
-        if (prof) [[unlikely]]
-            prof->countStep(info.pc, info.inst.isControl());
-        if (info.halted)
-            return {n, true};
-    }
-    return {n, false};
-#else
-    // Threaded dispatch: every handler ends in its own computed goto,
-    // so the host branch predictor sees one indirect-jump site per
-    // opcode pair instead of a single shared dispatch point that every
-    // instruction funnels through.
-    //
-    // The table is written in Opcode declaration order with two extra
-    // slots: the NumOpcodes marker resyncCode() creates for
-    // undecodable words (BlockMap::ensure normalizes any other
-    // out-of-range opcode to it), and the end-of-block sentinel each
-    // CodeBlock stores after its last real record, which is what lets
-    // the dispatch macro omit the per-instruction cursor-limit compare.
-    static_assert(static_cast<std::size_t>(Opcode::HALT) + 1 ==
-                      detail::numOpcodeSlots,
-                  "opcode order changed: update runFunctional's table");
-    static const void *const jumpTable[detail::numOpcodeSlots + 2] = {
-        &&op_ADD, &&op_SUB, &&op_MUL, &&op_DIV, &&op_REM,
-        &&op_AND, &&op_OR, &&op_XOR, &&op_NOR,
-        &&op_SLT, &&op_SLTU,
-        &&op_SLLV, &&op_SRLV, &&op_SRAV,
-        &&op_SLL, &&op_SRL, &&op_SRA,
-        &&op_ADDI, &&op_ANDI, &&op_ORI, &&op_XORI,
-        &&op_SLTI, &&op_SLTIU, &&op_LUI,
-        &&op_LB, &&op_LBU, &&op_LH, &&op_LHU, &&op_LW, &&op_LDC1,
-        &&op_SB, &&op_SH, &&op_SW, &&op_SDC1,
-        &&op_BEQ, &&op_BNE, &&op_BLEZ, &&op_BGTZ, &&op_BLTZ, &&op_BGEZ,
-        &&op_BC1T, &&op_BC1F,
-        &&op_J, &&op_JAL, &&op_JR, &&op_JALR,
-        &&op_ADD_D, &&op_SUB_D, &&op_MUL_D, &&op_DIV_D,
-        &&op_NEG_D, &&op_ABS_D, &&op_MOV_D,
-        &&op_CVT_D_W, &&op_CVT_W_D,
-        &&op_C_EQ_D, &&op_C_LT_D, &&op_C_LE_D,
-        &&op_NOP, &&op_HALT,
-        &&op_invalid,
-        &&op_blockend,
-    };
-
-// Operand accessors for the current record. WR's write goes through
-// writeInt so the r0-stays-zero rule holds on this path too.
-#define VISA_RS state_.readInt(pi->inst.rs)
-#define VISA_RT state_.readInt(pi->inst.rt)
-#define VISA_IMM (pi->inst.imm)
-#define VISA_WR(v) state_.writeInt(pi->inst.rd, (v))
-#define VISA_FS state_.fpRegs[pi->inst.rs]
-#define VISA_FT state_.fpRegs[pi->inst.rt]
-#define VISA_FD state_.fpRegs[pi->inst.rd]
-#define VISA_EA (VISA_RS + static_cast<Word>(VISA_IMM))
-// The guest PC of the record pi points at, reconstructed from the
-// block cursor: cur_ still holds the block start until block_done
-// writes it back. Only block-exit and error paths need a PC, so the
-// dispatch loop maintains neither a PC nor an instruction count per
-// instruction -- both fall out of pointer arithmetic at block exit.
-#define VISA_PC (cachePc_ + 4 * static_cast<Addr>(pi - cur_))
-// No cursor-limit compare either: every block carries a trailing
-// blockEndOpcode sentinel whose handler ends the block, so the
-// dispatch is an unconditional load-increment-jump.
-#define VISA_DISPATCH()                                                 \
-    do {                                                                \
-        pi = p++;                                                       \
-        goto *jumpTable[static_cast<std::size_t>(pi->inst.op)];         \
-    } while (0)
-
-    while (n < max_insts) {
-        if (cur_ == curEnd_ || state_.pc != cachePc_)
-            refill();
-        if (static_cast<std::uint64_t>(curEnd_ - cur_) >
-            max_insts - n) [[unlikely]] {
-            // The budget runs out inside this block. Finish the turn on
-            // the per-step path, which can stop at any record; the
-            // sentinel-terminated fast path only runs whole blocks.
-            while (n < max_insts) {
-                const ExecInfo info = step(false);
-                ++n;
-                if (prof) [[unlikely]]
-                    prof->countStep(info.pc, info.inst.isControl());
-                if (info.halted)
-                    return {n, true};
-            }
-            return {n, false};
-        }
-        // Hoist the cursor and PC into locals for the whole block: the
-        // compiler keeps them in registers across the simulated loads
-        // and stores below, which it could never prove safe for the
-        // member fields themselves.
-        const PredecodedInst *p = cur_;
-        const PredecodedInst *pi = p;
-        Addr pc;    // assigned on every path into block_done
-        bool halted = false;
-        bool leave = false;    // store-to-code: force a refill/resync
-        bool xfer = false;     // block ended in a control transfer
-
-        VISA_DISPATCH();
-
-      op_ADD:   VISA_WR(VISA_RS + VISA_RT); VISA_DISPATCH();
-      op_SUB:   VISA_WR(VISA_RS - VISA_RT); VISA_DISPATCH();
-      op_MUL:
-        VISA_WR(static_cast<Word>(
-            static_cast<std::int64_t>(static_cast<std::int32_t>(VISA_RS)) *
-            static_cast<std::int32_t>(VISA_RT)));
-        VISA_DISPATCH();
-      op_DIV: {
-        const auto s = static_cast<std::int32_t>(VISA_RS);
-        const auto t = static_cast<std::int32_t>(VISA_RT);
-        Word r = 0;
-        if (t == 0)
-            r = 0;
-        else if (s == INT32_MIN && t == -1)
-            r = static_cast<Word>(INT32_MIN);
-        else
-            r = static_cast<Word>(s / t);
-        VISA_WR(r);
-        VISA_DISPATCH();
-      }
-      op_REM: {
-        const auto s = static_cast<std::int32_t>(VISA_RS);
-        const auto t = static_cast<std::int32_t>(VISA_RT);
-        VISA_WR((t == 0 || (s == INT32_MIN && t == -1))
-                    ? 0
-                    : static_cast<Word>(s % t));
-        VISA_DISPATCH();
-      }
-      op_AND:   VISA_WR(VISA_RS & VISA_RT); VISA_DISPATCH();
-      op_OR:    VISA_WR(VISA_RS | VISA_RT); VISA_DISPATCH();
-      op_XOR:   VISA_WR(VISA_RS ^ VISA_RT); VISA_DISPATCH();
-      op_NOR:   VISA_WR(~(VISA_RS | VISA_RT)); VISA_DISPATCH();
-      op_SLT:
-        VISA_WR(static_cast<std::int32_t>(VISA_RS) <
-                        static_cast<std::int32_t>(VISA_RT)
-                    ? 1
-                    : 0);
-        VISA_DISPATCH();
-      op_SLTU:  VISA_WR(VISA_RS < VISA_RT ? 1 : 0); VISA_DISPATCH();
-      op_SLLV:  VISA_WR(VISA_RS << (VISA_RT & 31)); VISA_DISPATCH();
-      op_SRLV:  VISA_WR(VISA_RS >> (VISA_RT & 31)); VISA_DISPATCH();
-      op_SRAV:
-        VISA_WR(static_cast<Word>(static_cast<std::int32_t>(VISA_RS) >>
-                                  (VISA_RT & 31)));
-        VISA_DISPATCH();
-      op_SLL:   VISA_WR(VISA_RS << (VISA_IMM & 31)); VISA_DISPATCH();
-      op_SRL:   VISA_WR(VISA_RS >> (VISA_IMM & 31)); VISA_DISPATCH();
-      op_SRA:
-        VISA_WR(static_cast<Word>(static_cast<std::int32_t>(VISA_RS) >>
-                                  (VISA_IMM & 31)));
-        VISA_DISPATCH();
-      op_ADDI:  VISA_WR(VISA_RS + static_cast<Word>(VISA_IMM)); VISA_DISPATCH();
-      op_ANDI:
-        VISA_WR(VISA_RS & (static_cast<Word>(VISA_IMM) & 0xFFFF));
-        VISA_DISPATCH();
-      op_ORI:
-        VISA_WR(VISA_RS | (static_cast<Word>(VISA_IMM) & 0xFFFF));
-        VISA_DISPATCH();
-      op_XORI:
-        VISA_WR(VISA_RS ^ (static_cast<Word>(VISA_IMM) & 0xFFFF));
-        VISA_DISPATCH();
-      op_SLTI:
-        VISA_WR(static_cast<std::int32_t>(VISA_RS) < VISA_IMM ? 1 : 0);
-        VISA_DISPATCH();
-      op_SLTIU:
-        VISA_WR(VISA_RS < static_cast<Word>(VISA_IMM) ? 1 : 0);
-        VISA_DISPATCH();
-      op_LUI:   VISA_WR(static_cast<Word>(VISA_IMM) << 16); VISA_DISPATCH();
-
-      op_LB: {
-        const Addr ea = VISA_EA;
-        if (mmio::contains(ea)) [[unlikely]]
-            badMmioAccess(VISA_PC);
-        VISA_WR(static_cast<Word>(static_cast<std::int32_t>(
-            static_cast<std::int8_t>(mem_.read(ea, 1)))));
-        VISA_DISPATCH();
-      }
-      op_LBU: {
-        const Addr ea = VISA_EA;
-        if (mmio::contains(ea)) [[unlikely]]
-            badMmioAccess(VISA_PC);
-        VISA_WR(static_cast<Word>(mem_.read(ea, 1)) & 0xFF);
-        VISA_DISPATCH();
-      }
-      op_LH: {
-        const Addr ea = VISA_EA;
-        if (mmio::contains(ea)) [[unlikely]]
-            badMmioAccess(VISA_PC);
-        VISA_WR(static_cast<Word>(static_cast<std::int32_t>(
-            static_cast<std::int16_t>(mem_.read(ea, 2)))));
-        VISA_DISPATCH();
-      }
-      op_LHU: {
-        const Addr ea = VISA_EA;
-        if (mmio::contains(ea)) [[unlikely]]
-            badMmioAccess(VISA_PC);
-        VISA_WR(static_cast<Word>(mem_.read(ea, 2)) & 0xFFFF);
-        VISA_DISPATCH();
-      }
-      op_LW: {
-        const Addr ea = VISA_EA;
-        if (mmio::contains(ea)) [[unlikely]]
-            VISA_WR(platform_.load(ea));
-        else
-            VISA_WR(static_cast<Word>(mem_.read(ea, 4)));
-        VISA_DISPATCH();
-      }
-      op_LDC1: {
-        const Addr ea = VISA_EA;
-        if (mmio::contains(ea)) [[unlikely]]
-            badMmioAccess(VISA_PC);
-        VISA_FD = mem_.readDouble(ea);
-        VISA_DISPATCH();
-      }
-
-      op_SB: {
-        const Addr ea = VISA_EA;
-        if (mmio::contains(ea)) [[unlikely]]
-            badMmioAccess(VISA_PC);
-        mem_.write(ea, VISA_RT, 1);
-        if (touchesText(ea, 1)) [[unlikely]] {
-            leave = true;
-            pc = VISA_PC + 4;
-            goto block_done;
-        }
-        VISA_DISPATCH();
-      }
-      op_SH: {
-        const Addr ea = VISA_EA;
-        if (mmio::contains(ea)) [[unlikely]]
-            badMmioAccess(VISA_PC);
-        mem_.write(ea, VISA_RT, 2);
-        if (touchesText(ea, 2)) [[unlikely]] {
-            leave = true;
-            pc = VISA_PC + 4;
-            goto block_done;
-        }
-        VISA_DISPATCH();
-      }
-      op_SW: {
-        const Addr ea = VISA_EA;
-        if (mmio::contains(ea)) [[unlikely]] {
-            platform_.store(ea, VISA_RT);
-        } else {
-            mem_.write(ea, VISA_RT, 4);
-            if (touchesText(ea, 4)) [[unlikely]] {
-                leave = true;
-                pc = VISA_PC + 4;
-                goto block_done;
-            }
-        }
-        VISA_DISPATCH();
-      }
-      op_SDC1: {
-        const Addr ea = VISA_EA;
-        if (mmio::contains(ea)) [[unlikely]]
-            badMmioAccess(VISA_PC);
-        mem_.writeDouble(ea, VISA_FT);
-        if (touchesText(ea, 8)) [[unlikely]] {
-            leave = true;
-            pc = VISA_PC + 4;
-            goto block_done;
-        }
-        VISA_DISPATCH();
-      }
-
-      // Terminators are always a block's last real record, so when one
-      // dispatches p already sits on the trailing sentinel (== curEnd_)
-      // and the handler can jump straight to block_done.
-      op_BEQ:
-        pc = VISA_RS == VISA_RT ? static_cast<Addr>(VISA_IMM)
-                                : VISA_PC + 4;
-        goto block_done_xfer;
-      op_BNE:
-        pc = VISA_RS != VISA_RT ? static_cast<Addr>(VISA_IMM)
-                                : VISA_PC + 4;
-        goto block_done_xfer;
-      op_BLEZ:
-        pc = static_cast<std::int32_t>(VISA_RS) <= 0
-                 ? static_cast<Addr>(VISA_IMM)
-                 : VISA_PC + 4;
-        goto block_done_xfer;
-      op_BGTZ:
-        pc = static_cast<std::int32_t>(VISA_RS) > 0
-                 ? static_cast<Addr>(VISA_IMM)
-                 : VISA_PC + 4;
-        goto block_done_xfer;
-      op_BLTZ:
-        pc = static_cast<std::int32_t>(VISA_RS) < 0
-                 ? static_cast<Addr>(VISA_IMM)
-                 : VISA_PC + 4;
-        goto block_done_xfer;
-      op_BGEZ:
-        pc = static_cast<std::int32_t>(VISA_RS) >= 0
-                 ? static_cast<Addr>(VISA_IMM)
-                 : VISA_PC + 4;
-        goto block_done_xfer;
-      op_BC1T:
-        pc = state_.fcc ? static_cast<Addr>(VISA_IMM) : VISA_PC + 4;
-        goto block_done_xfer;
-      op_BC1F:
-        pc = !state_.fcc ? static_cast<Addr>(VISA_IMM) : VISA_PC + 4;
-        goto block_done_xfer;
-      op_J:
-        pc = static_cast<Addr>(VISA_IMM);
-        goto block_done_xfer;
-      op_JAL:
-        state_.writeInt(reg::ra, VISA_PC + 4);
-        pc = static_cast<Addr>(VISA_IMM);
-        goto block_done_xfer;
-      op_JR:
-        pc = VISA_RS;
-        goto block_done_xfer;
-      op_JALR: {
-        const Addr target = VISA_RS;    // read rs before a write to rd
-        VISA_WR(VISA_PC + 4);
-        pc = target;
-        goto block_done_xfer;
-      }
-
-      op_ADD_D: VISA_FD = VISA_FS + VISA_FT; VISA_DISPATCH();
-      op_SUB_D: VISA_FD = VISA_FS - VISA_FT; VISA_DISPATCH();
-      op_MUL_D: VISA_FD = VISA_FS * VISA_FT; VISA_DISPATCH();
-      op_DIV_D: VISA_FD = VISA_FS / VISA_FT; VISA_DISPATCH();
-      op_NEG_D: VISA_FD = -VISA_FS; VISA_DISPATCH();
-      op_ABS_D: VISA_FD = std::fabs(VISA_FS); VISA_DISPATCH();
-      op_MOV_D: VISA_FD = VISA_FS; VISA_DISPATCH();
-      op_CVT_D_W:
-        VISA_FD = static_cast<double>(static_cast<std::int32_t>(VISA_RS));
-        VISA_DISPATCH();
-      op_CVT_W_D:
-        VISA_WR(static_cast<Word>(static_cast<std::int32_t>(VISA_FS)));
-        VISA_DISPATCH();
-      op_C_EQ_D: state_.fcc = VISA_FS == VISA_FT; VISA_DISPATCH();
-      op_C_LT_D: state_.fcc = VISA_FS < VISA_FT; VISA_DISPATCH();
-      op_C_LE_D: state_.fcc = VISA_FS <= VISA_FT; VISA_DISPATCH();
-
-      op_NOP:   VISA_DISPATCH();
-      op_HALT:
-        pc = VISA_PC;    // HALT does not advance the PC
-        halted = true;
-        goto block_done;
-      op_invalid:
-        detail::badOpcode("ExecCore::runFunctional", pi->inst.op);
-      op_blockend:
-        // Fall-through off the block's end: pi is the trailing
-        // sentinel, whose reconstructed PC is exactly the fall-through
-        // address. Step p back onto the block end (the sentinel is not
-        // a real record) so the cursor write-back lands on curEnd_.
-        pc = VISA_PC;
-        --p;
-        goto block_done;
-
-      block_done_xfer:
-        xfer = true;
-        // falls through into block_done
-      block_done:
-        // cachePc_ still holds the block's entry PC here, so the whole
-        // batch is attributed in one call. Non-transfer exits (HALT,
-        // store-to-code leave, fall-off-the-end) tell the profiler the
-        // next counted PC is a *continuation*, not a block entry --
-        // keeping cached and per-step profiles identical.
-        if (prof) [[unlikely]]
-            prof->countBlockRun(cachePc_,
-                                static_cast<std::uint32_t>(p - cur_), xfer);
-        n += static_cast<std::uint64_t>(p - cur_);
-        cur_ = leave ? curEnd_ : p;
-        cachePc_ = pc;
-        state_.pc = pc;
-        if (halted)
-            return {n, true};
-    }
-    return {n, false};
-
-#undef VISA_RS
-#undef VISA_RT
-#undef VISA_IMM
-#undef VISA_WR
-#undef VISA_FS
-#undef VISA_FT
-#undef VISA_FD
-#undef VISA_EA
-#undef VISA_PC
-#undef VISA_DISPATCH
-#endif // threaded dispatch
 }
 
 Instruction

@@ -155,27 +155,6 @@ class ExecCore
      */
     __attribute__((always_inline)) ExecInfo step(bool defer_mmio);
 
-    /** Result of a runFunctional() call. */
-    struct FuncRunResult
-    {
-        std::uint64_t insts = 0;    ///< instructions executed
-        bool halted = false;        ///< stopped on HALT (vs budget)
-    };
-
-    /**
-     * Execute up to @p max_insts instructions purely functionally
-     * (immediate MMIO, no per-instruction ExecInfo) and stop early on
-     * HALT. This is the block-granular fast path of the translation
-     * cache: whole blocks run in a tight register-resident loop, so the
-     * per-instruction bookkeeping step() must do for the timing
-     * pipelines (ExecInfo assembly, cursor write-back, PC publication)
-     * happens once per block instead of once per instruction. Falls
-     * back to step() when the cache is off or an observer is attached
-     * (observers are per-instruction by contract). Architecturally
-     * identical to calling step(false) in a loop.
-     */
-    FuncRunResult runFunctional(std::uint64_t max_insts);
-
     /** Report a non-word MMIO access at @p pc (panics). */
     [[noreturn]] static void badMmioAccess(Addr pc);
 

@@ -36,7 +36,8 @@
  * Cost model mirrors tracing/profiling: building with -DVISA_INJECT=0
  * removes the hooks entirely; in the default build the no-port path is
  * one member load and a predictable [[unlikely]] branch per site,
- * gated below 2% by the bench_gate ctest.
+ * checked below 2% by the bench_gate ctest, which fails on a breach
+ * only on the host its baseline was recorded on and warns elsewhere.
  */
 
 #ifndef VISA_CPU_FAULT_PORT_HH

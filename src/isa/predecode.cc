@@ -72,27 +72,22 @@ BlockMap::ensure(const Instruction *text, std::size_t n, Addr base,
     }
     const std::uint32_t len = straightLineLength(text, n, base, pc);
     b->insts.clear();
-    b->insts.reserve(len + 1);
+    b->insts.reserve(len);
     for (std::uint32_t k = 0; k < len; ++k) {
         const Instruction &in = text[w + k];
         PredecodedInst pi;
         pi.inst = in;
-        pi.flags = detail::operandFlags(in.op);
         const auto oi = static_cast<std::size_t>(in.op);
         if (oi < detail::numOpcodeSlots) {
             pi.memBytes = detail::memBytesTable[oi];
-            pi.cls = static_cast<std::uint8_t>(detail::classTable[oi]);
         } else {
-            // Normalize any undecodable opcode to the sentinel so the
-            // executor's dispatch tables can be indexed unguarded
-            // (slots 0..NumOpcodes inclusive).
+            // Normalize any undecodable opcode to NumOpcodes, the value
+            // resyncCode() gives an undecodable word, so the executor's
+            // bad-opcode panic names one opcode whatever the word held.
             pi.inst.op = Opcode::NumOpcodes;
         }
         b->insts.push_back(pi);
     }
-    PredecodedInst sentinel;
-    sentinel.inst.op = blockEndOpcode;
-    b->insts.push_back(sentinel);
     b->count = len;
     b->valid = len > 0;
     b->chainFall = nullptr;

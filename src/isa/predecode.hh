@@ -7,11 +7,10 @@
  * A CodeBlock is the straight-line run of instructions from one entry
  * PC up to and including the next control transfer (or HALT / end of
  * text). Each instruction is stored as a PredecodedInst: the decoded
- * Instruction plus every per-opcode table value the executor would
- * otherwise reload per dynamic instruction (operand-role flags, memory
- * width, functional class). The BlockMap owns all blocks, indexed by
- * start word for O(1) lookup, and carries chained fall-through/taken
- * pointers so steady-state execution never touches the index at all.
+ * Instruction plus its memory access width. The BlockMap owns all
+ * blocks, indexed by start word for O(1) lookup, and carries chained
+ * fall-through/taken pointers so steady-state execution never touches
+ * the index at all.
  *
  * This module is purely structural: it reads instruction storage the
  * caller provides and never touches MainMemory. Invalidation policy
@@ -33,32 +32,15 @@ namespace visa
 {
 
 /**
- * One pre-resolved instruction record. The opcode doubles as the
- * dispatch key of the executor's threaded switch (it is already a
- * dense uint8), so no separate handler index is stored; the satellite
- * fields cache the per-opcode table lookups.
+ * One pre-resolved instruction record: the decoded Instruction plus
+ * its access width, the one per-opcode table value the executor's
+ * opcode switch would otherwise reload per dynamic instruction.
  */
 struct alignas(16) PredecodedInst
 {
     Instruction inst;
-    std::uint16_t flags = 0;      ///< detail::operandFlags(inst.op)
     std::uint8_t memBytes = 0;    ///< access width, 0 for non-memory
-    std::uint8_t cls = 0;         ///< static_cast<uint8_t>(classOf(op))
 };
-
-/**
- * Dispatch key of the trailing end-of-block sentinel record. Every
- * decoded CodeBlock carries one extra PredecodedInst with this opcode
- * after its `count` real records, so a threaded executor can dispatch
- * unconditionally and let the sentinel's handler end the block instead
- * of comparing the cursor against an end pointer per instruction. The
- * value sits one slot past the Opcode::NumOpcodes marker used for
- * undecodable words; BlockMap::ensure normalizes every out-of-range
- * opcode in a real record to NumOpcodes, so no program-supplied word
- * can collide with the sentinel.
- */
-constexpr Opcode blockEndOpcode =
-    static_cast<Opcode>(detail::numOpcodeSlots + 1);
 
 /**
  * @return the length in instructions of the straight-line run starting
@@ -90,7 +72,7 @@ struct CodeBlock
      */
     CodeBlock *chainFall = nullptr;
     CodeBlock *chainTaken = nullptr;
-    /** count real records plus the trailing blockEndOpcode sentinel. */
+    /** The block's count records. */
     std::vector<PredecodedInst> insts;
 
     /** Address of the instruction after the block's last one. */

@@ -82,25 +82,6 @@ MainMemory::writeSlow(Addr addr, std::uint64_t value, int bytes)
 }
 
 void
-MainMemory::readBytes(Addr addr, void *dst, std::size_t n) const
-{
-    auto *out = static_cast<std::uint8_t *>(dst);
-    while (n > 0) {
-        const Addr off = addr & pageMask;
-        const std::size_t chunk =
-            std::min<std::size_t>(n, pageSize - off);
-        const Page *page = findPage(addr);
-        if (page)
-            std::memcpy(out, page->data() + off, chunk);
-        else
-            std::memset(out, 0, chunk);
-        out += chunk;
-        addr += static_cast<Addr>(chunk);
-        n -= chunk;
-    }
-}
-
-void
 MainMemory::setCodeRange(Addr base, Addr bytes)
 {
     const Addr end = base + bytes;

@@ -83,12 +83,6 @@ class MainMemory
     }
 
     /**
-     * Copy @p n raw bytes starting at @p addr into @p dst, splitting
-     * only at page boundaries; absent pages read as zero.
-     */
-    void readBytes(Addr addr, void *dst, std::size_t n) const;
-
-    /**
      * Copy @p n raw bytes from @p src into memory starting at @p addr,
      * splitting only at page boundaries (pages are created as needed).
      */

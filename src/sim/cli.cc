@@ -1,10 +1,12 @@
 #include "sim/cli.hh"
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
-#include <stdexcept>
 
 #include "sim/logging.hh"
 
@@ -108,6 +110,42 @@ CliParser::parse(int argc, char **argv)
     }
 }
 
+template <typename Int>
+Int
+parseIntFlag(const std::string &flag, const std::string &value, Int lo,
+             Int hi)
+{
+    Int v{};
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (ec != std::errc() || ptr != end || v < lo || v > hi)
+        fatal("%s must be an integer in [%s, %s], not '%s'", flag.c_str(),
+              std::to_string(lo).c_str(), std::to_string(hi).c_str(),
+              value.c_str());
+    return v;
+}
+
+template int parseIntFlag<int>(const std::string &, const std::string &,
+                               int, int);
+template unsigned parseIntFlag<unsigned>(const std::string &,
+                                         const std::string &, unsigned,
+                                         unsigned);
+template std::uint64_t
+parseIntFlag<std::uint64_t>(const std::string &, const std::string &,
+                            std::uint64_t, std::uint64_t);
+
+double
+parseDoubleFlag(const std::string &flag, const std::string &value)
+{
+    double v = 0.0;
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v))
+        fatal("%s must be a finite number, not '%s'", flag.c_str(),
+              value.c_str());
+    return v;
+}
+
 TraceFlags::TraceFlags(CliParser &cli)
     : trace_(&cli.flag("--trace", "FILE",
                        "Chrome trace-event JSON output")),
@@ -130,10 +168,14 @@ TraceFlags::requested() const
 std::unique_ptr<Tracer>
 TraceFlags::makeTracer() const
 {
+    // The ring is allocated up front at 48 bytes an event: 2^26 events
+    // (3 GiB) is the most a run may ask for.
+    const std::uint64_t events =
+        parseIntFlag<std::uint64_t>("--trace-buffer", *buffer_, 1,
+                                    std::uint64_t{1} << 26);
     if (!requested())
         return nullptr;
-    auto tracer = std::make_unique<Tracer>(
-        static_cast<std::size_t>(std::stoul(*buffer_)));
+    auto tracer = std::make_unique<Tracer>(events);
     if (!events_->empty()) {
         std::uint32_t mask = 0;
         std::istringstream cats(*events_);
@@ -189,9 +231,7 @@ applyThreadsFlag(const std::string &value)
 {
     if (value.empty())
         return;
-    const int n = std::stoi(value);
-    if (n < 1)
-        fatal("--threads must be at least 1");
+    parseIntFlag("--threads", value, 1);
     // The pool latches the count on first use, so exporting the
     // documented knob keeps one mechanism for both spellings.
     setenv("VISA_THREADS", value.c_str(), 1);
@@ -208,20 +248,7 @@ addCoresFlag(CliParser &cli)
 int
 parseCoresFlag(const std::string &value)
 {
-    if (value.empty())
-        return 1;
-    int n = 0;
-    try {
-        std::size_t used = 0;
-        n = std::stoi(value, &used);
-        if (used != value.size())
-            throw std::invalid_argument(value);
-    } catch (const std::exception &) {
-        fatal("--cores: '%s' is not a core count", value.c_str());
-    }
-    if (n < 1 || n > 64)
-        fatal("--cores must be in [1, 64] (got %d)", n);
-    return n;
+    return value.empty() ? 1 : parseIntFlag("--cores", value, 1, 64);
 }
 
 std::string &
@@ -246,14 +273,8 @@ parseAffinityFlag(const std::string &value)
         const std::string item = value.substr(pos, comma - pos);
         if (item.empty())
             fatal("--affinity: empty entry in '%s'", value.c_str());
-        try {
-            pins.push_back(std::stoi(item));
-        } catch (const std::exception &) {
-            fatal("--affinity: '%s' is not an integer", item.c_str());
-        }
-        if (pins.back() < -1)
-            fatal("--affinity: core id %d is invalid (-1 = unpinned)",
-                  pins.back());
+        // -1 leaves the task unpinned.
+        pins.push_back(parseIntFlag("--affinity", item, -1));
         if (comma == value.size())
             break;
         pos = comma + 1;

@@ -16,6 +16,7 @@
 #include <deque>
 #include <functional>
 #include <iosfwd>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -85,6 +86,27 @@ class CliParser
 };
 
 /**
+ * Parse @p value, given for the numeric flag @p flag, as a whole
+ * decimal integer in [@p lo, @p hi]. Anything else is fatal, naming
+ * the flag and the range: an empty value, a sign on an unsigned type,
+ * a base prefix, trailing characters, or a value outside the range or
+ * the type. Every integer-valued flag of the tools goes through here.
+ * Instantiated for int, unsigned and std::uint64_t.
+ */
+template <typename Int>
+Int parseIntFlag(const std::string &flag, const std::string &value,
+                 Int lo = std::numeric_limits<Int>::min(),
+                 Int hi = std::numeric_limits<Int>::max());
+
+/**
+ * Parse @p value, given for the numeric flag @p flag, as a whole finite
+ * decimal number ("0.6", "1e-3"); fatal, naming the flag, on trailing
+ * characters, an infinity or a NaN. Range checks stay with the
+ * consumer that knows them (a deadline must be positive, say).
+ */
+double parseDoubleFlag(const std::string &flag, const std::string &value);
+
+/**
  * The shared tracing flag group: --trace, --trace-jsonl,
  * --trace-events, --trace-buffer. Construct against the tool's parser
  * before parse(); afterwards makeTracer()/writeOutputs() implement the
@@ -100,8 +122,8 @@ class TraceFlags
 
     /**
      * Build the tracer the flags describe (buffer size, category
-     * mask), or nullptr when no output was requested. Fatal on unknown
-     * categories.
+     * mask), or nullptr when no output was requested. Fatal on a bad
+     * --trace-buffer, requested or not, and on unknown categories.
      */
     std::unique_ptr<Tracer> makeTracer() const;
 

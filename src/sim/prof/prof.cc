@@ -32,8 +32,8 @@ installProfiler(BlockProfiler *prof)
 
 BlockProfiler::BlockProfiler(const Program &prog)
     : prog_(&prog), base_(prog.textBase), nwords_(prog.text.size()),
-      instCount_(nwords_, 0), rangeAdd_(nwords_ + 1, 0),
-      instCycles_(nwords_, 0), blockCount_(nwords_, 0)
+      instCount_(nwords_, 0), instCycles_(nwords_, 0),
+      blockCount_(nwords_, 0)
 {
 }
 
@@ -73,22 +73,10 @@ BlockProfiler::setBoundAttribution(std::vector<SubtaskBound> attribution)
     boundAttr_ = std::move(attribution);
 }
 
-std::vector<std::uint64_t>
-BlockProfiler::instCounts() const
-{
-    std::vector<std::uint64_t> out(instCount_);
-    std::int64_t run = 0;
-    for (std::size_t w = 0; w < nwords_; ++w) {
-        run += rangeAdd_[w];
-        out[w] += static_cast<std::uint64_t>(run);
-    }
-    return out;
-}
-
 std::uint64_t
 BlockProfiler::totalInsts() const
 {
-    std::uint64_t n = instsBatched_;
+    std::uint64_t n = 0;
     for (std::uint64_t c : instCount_)
         n += c;
     return n;
@@ -97,11 +85,10 @@ BlockProfiler::totalInsts() const
 std::vector<BlockProfileEntry>
 BlockProfiler::blocks() const
 {
-    const std::vector<std::uint64_t> counts = instCounts();
     std::vector<BlockProfileEntry> out;
     std::size_t w = 0;
     while (w < nwords_) {
-        if (blockCount_[w] == 0 && counts[w] == 0) {
+        if (blockCount_[w] == 0 && instCount_[w] == 0) {
             ++w;
             continue;
         }
@@ -112,7 +99,7 @@ BlockProfiler::blocks() const
         // that was itself entered as a block.
         std::size_t end = w;
         while (end < nwords_) {
-            e.insts += counts[end];
+            e.insts += instCount_[end];
             e.cycles += instCycles_[end];
             const Instruction &in = prog_->text[end];
             ++end;

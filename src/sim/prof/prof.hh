@@ -1,7 +1,6 @@
 /**
  * @file
- * Block-granular execution profiler: the consumer of the basic-block
- * translation cache's per-block hooks (DESIGN.md §9/§10). Records, per
+ * Block-granular execution profiler (DESIGN.md §10). Records, per
  * text word and per dynamic basic block:
  *
  *  - execution counts (how often each block/instruction ran),
@@ -17,17 +16,17 @@
  *    currentProfiler() into a constant nullptr, so every hook folds
  *    away and the profiler contributes no code to the hot paths;
  *  - run time: a thread-local profiler pointer, hoisted into a local
- *    once per run. The functional batch path pays one predicted
- *    branch per *block*; the timing pipelines pay one per retired
- *    instruction (a fraction of the work those loops already do).
+ *    once per run. The timing pipelines pay one predicted branch per
+ *    retired instruction (a fraction of the work those loops already
+ *    do).
  *
- * Counting semantics are identical across the cached batch path, the
- * per-step fallback, and both timing pipelines: a "block entry" is an
- * arrival at a PC immediately after a control-transfer instruction
- * executed (taken or not) or at the start of profiling. Sequential
- * continuations — budget pauses inside a block, store-to-code resyncs,
- * falling off the end of text — do not count as entries, so cached and
- * uncached runs of the same program produce identical profiles.
+ * Both timing pipelines count through countTimed(), whichever way
+ * their functional core dispatches: a "block entry" is an arrival at a
+ * PC immediately after a control-transfer instruction executed (taken
+ * or not) or at the start of profiling. Sequential continuations —
+ * budget pauses inside a block, store-to-code resyncs, falling off the
+ * end of text — do not count as entries, so cached and uncached runs
+ * of the same program produce identical profiles.
  */
 
 #ifndef VISA_SIM_PROF_PROF_HH
@@ -127,43 +126,6 @@ class BlockProfiler
         pendingEntry_ = control;
     }
 
-    /** One functional step (uncached / observer / budget-tail path). */
-    void
-    countStep(Addr pc, bool control)
-    {
-        const std::size_t w = wordOf(pc);
-        if (w >= nwords_) [[unlikely]]
-            return;
-        if (pendingEntry_)
-            enterBlock(static_cast<std::uint32_t>(w));
-        ++instCount_[w];
-        pendingEntry_ = control;
-    }
-
-    /**
-     * A whole-block batch from the threaded functional dispatcher:
-     * @p n instructions starting at @p entry_pc ran; @p transfer is
-     * true when the run ended in a control transfer (so the *next*
-     * arrival counts as a block entry).
-     */
-    void
-    countBlockRun(Addr entry_pc, std::uint32_t n, bool transfer)
-    {
-        if (n == 0)
-            return;
-        const std::size_t w = wordOf(entry_pc);
-        if (w + n > nwords_) [[unlikely]]
-            return;
-        if (pendingEntry_)
-            enterBlock(static_cast<std::uint32_t>(w));
-        // Per-word execution counts fall out of a difference array:
-        // one add per block run, prefix-summed once at export.
-        rangeAdd_[w] += 1;
-        rangeAdd_[w + n] -= 1;
-        instsBatched_ += n;
-        pendingEntry_ = transfer;
-    }
-
     // ------------------------------------------------------------------
     // Cold paths.
     // ------------------------------------------------------------------
@@ -222,8 +184,11 @@ class BlockProfiler
     std::size_t textWords() const { return nwords_; }
     const Program &program() const { return *prog_; }
 
-    /** Per-word execution count (prefix-summed view; for tests). */
-    std::vector<std::uint64_t> instCounts() const;
+    /** Per-word execution count (for tests). */
+    const std::vector<std::uint64_t> &instCounts() const
+    {
+        return instCount_;
+    }
 
     /** Contribute a "prof" group to the versioned stats tree. */
     void buildStats(StatSet &set) const;
@@ -266,8 +231,7 @@ class BlockProfiler
     Addr base_ = 0;
     std::size_t nwords_ = 0;
 
-    std::vector<std::uint64_t> instCount_;     ///< per word, direct
-    std::vector<std::int64_t> rangeAdd_;       ///< per word + 1, batched
+    std::vector<std::uint64_t> instCount_;     ///< per word
     std::vector<std::uint64_t> instCycles_;    ///< per word
     std::vector<std::uint64_t> blockCount_;    ///< entries per word
     std::unordered_map<std::uint64_t, std::uint64_t> edges_;
@@ -275,7 +239,6 @@ class BlockProfiler
     bool pendingEntry_ = true;    ///< first arrival counts as an entry
     std::uint32_t lastBlock_ = entryBlockId;
 
-    std::uint64_t instsBatched_ = 0;
     std::uint64_t totalEntries_ = 0;
     std::uint64_t attributedCycles_ = 0;
     std::uint64_t unattributedCycles_ = 0;

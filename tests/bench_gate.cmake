@@ -36,27 +36,29 @@
 # persisting failure downgrades to a warning rather than flaking the
 # suite. A calm start gates normally.
 #
+# Where it gates: only on the baseline's own host, after a calm start.
+# BENCH_PR10.json records "Intel(R) Xeon(R) Processor @ 2.10GHz/1"
+# (one CPU). Any other host, a 4-vCPU VM reporting "Intel(R) Xeon(R)
+# Processor/4" included, gets warnings from every check, the 2%
+# injection ratio included: the test then fails only if bench-report
+# itself does.
+#
 # Inputs: -DBENCH_REPORT=<exe> -DBASELINE=<BENCH_PR*.json> -DWORK_DIR=<dir>
-#         [-DPROF_BASELINE=<BENCH_PR*.json>]
 #         [-DINJECT_BASELINE=<BENCH_PR*.json>]
 #
-# PROF_BASELINE adds the profiling-overhead gate: the block-profiling
-# hooks are always compiled in (sim/prof), so ExecCoreStep with no
-# profiler installed must stay within 2% of the pre-profiling baseline
-# — the disabled path must be a dead branch, not a tax.
-#
-# INJECT_BASELINE adds the injection-overhead gate, same idea for the
-# fault-injection hooks (cpu/fault_port.hh): OooCpuRun with no fault
-# port installed must stay within 2% of the pre-injection baseline.
+# INJECT_BASELINE adds the injection-overhead gate: the fault-injection
+# hooks are always compiled in (cpu/fault_port.hh), so OooCpuRun with
+# no fault port installed must stay within 2% of the pre-injection
+# baseline — the disabled path must be a dead branch, not a tax.
 #
 # A 2% margin is far below this host's run-to-run wall-clock noise
-# (absolute ns/op swings 5-10% with background load), so both overhead
-# gates compare RATIOS against a hook-free control benchmark from the
-# same report rather than absolute ns/op: ExecCoreStep/MemoryRead for
-# profiling and OooCpuRun/SimpleCpuRun for injection (SimpleCpu never
-# sees a FaultPort). Host slowdown hits numerator and denominator of
-# one report together and cancels; measured spread of the ratios is
-# well under 1% across load regimes where the absolutes move 10%.
+# (absolute ns/op swings 5-10% with background load), so the overhead
+# gate compares a RATIO against a hook-free control benchmark from the
+# same report rather than absolute ns/op: OooCpuRun/SimpleCpuRun
+# (SimpleCpu never sees a FaultPort). Host slowdown hits numerator and
+# denominator of one report together and cancels; measured spread of
+# the ratio is well under 1% across load regimes where the absolutes
+# move 10%.
 
 foreach(var BENCH_REPORT BASELINE WORK_DIR)
     if(NOT DEFINED ${var})
@@ -130,16 +132,6 @@ if(NOT base_chip STREQUAL "")
 endif()
 if(NOT base_spd STREQUAL "")
     to_milli(${base_spd} base_spd_m)
-endif()
-
-if(DEFINED PROF_BASELINE)
-    file(READ ${PROF_BASELINE} prof_base_json)
-    bench_metric("${prof_base_json}" benchmarks ExecCoreStep ns_per_op
-        base_step)
-    bench_metric("${prof_base_json}" benchmarks MemoryRead ns_per_op
-        base_mr)
-    to_milli(${base_step} base_step_m)
-    to_milli(${base_mr} base_mr_m)
 endif()
 
 if(DEFINED INJECT_BASELINE)
@@ -237,33 +229,10 @@ foreach(attempt RANGE 1 5)
             set(best_spd ${cur_spd})
         endif()
     endif()
-    # The overhead gates track the best *paired* ratio: numerator and
+    # The overhead gate tracks the best *paired* ratio: numerator and
     # denominator must come from the same attempt for host noise to
     # cancel, so the fold keeps the pair, not two independent minima.
     # ratio(cur) < ratio(best)  <=>  cur_num * best_den < best_num * cur_den.
-    if(DEFINED PROF_BASELINE)
-        bench_metric("${cur_json}" benchmarks ExecCoreStep ns_per_op
-            cur_step)
-        bench_metric("${cur_json}" benchmarks MemoryRead ns_per_op cur_mr)
-        to_milli(${cur_step} cur_step_m)
-        to_milli(${cur_mr} cur_mr_m)
-        set(take FALSE)
-        if(attempt EQUAL 1)
-            set(take TRUE)
-        else()
-            math(EXPR lhs "${cur_step_m} * ${best_prof_mr_m}")
-            math(EXPR rhs "${best_prof_step_m} * ${cur_mr_m}")
-            if(lhs LESS rhs)
-                set(take TRUE)
-            endif()
-        endif()
-        if(take)
-            set(best_prof_step_m ${cur_step_m})
-            set(best_prof_mr_m ${cur_mr_m})
-            set(best_prof_step ${cur_step})
-            set(best_prof_mr ${cur_mr})
-        endif()
-    endif()
     if(DEFINED INJECT_BASELINE)
         set(take FALSE)
         if(attempt EQUAL 1)
@@ -322,21 +291,6 @@ foreach(attempt RANGE 1 5)
                 " ${base_spd}x;")
         endif()
     endif()
-    # Profiling-off overhead: ExecCoreStep/MemoryRead within 2% of the
-    # same ratio in the pre-profiling baseline (the hooks compile in
-    # unconditionally; the uninstalled path must cost nothing).
-    # best_step/best_mr > 1.02 * base_step/base_mr, cross-multiplied.
-    if(DEFINED PROF_BASELINE)
-        math(EXPR lhs "${best_prof_step_m} * ${base_mr_m} * 100")
-        math(EXPR rhs "${base_step_m} * ${best_prof_mr_m} * 102")
-        if(lhs GREATER rhs)
-            string(APPEND failures
-                " ExecCoreStep/MemoryRead ${best_prof_step}/${best_prof_mr}"
-                " ns/op vs pre-profiling baseline ${base_step}/${base_mr}"
-                " (>2% profiling-off overhead);")
-        endif()
-    endif()
-
     # Injection-off overhead: OooCpuRun/SimpleCpuRun within 2% of the
     # same ratio in the pre-injection baseline (the FaultPort hooks
     # compile in unconditionally; with no port installed they must cost

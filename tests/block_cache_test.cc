@@ -3,9 +3,8 @@
  * Basic-block translation cache tests: store-to-code invalidation
  * (self-modifying programs re-decode and match the uncached path
  * exactly), cache-on/off lockstep equivalence over generated programs,
- * the block-granular runFunctional fast path against the per-step
- * reference, the BlockCacheStats group in the stats export, and
- * byte-identical determinism across thread-pool widths.
+ * the BlockCacheStats group in the stats export, and byte-identical
+ * determinism across thread-pool widths.
  */
 
 #include <gtest/gtest.h>
@@ -74,8 +73,10 @@ TEST(BlockCache, SelfModifyingStoreForcesRedecode)
     ExecCore core(prog, mem, plat);
     core.reset();
     ASSERT_TRUE(core.blockCacheEnabled());
-    const ExecCore::FuncRunResult r = core.runFunctional(100000);
-    ASSERT_TRUE(r.halted);
+    bool halted = false;
+    for (int n = 0; n < 100000 && !halted; ++n)
+        halted = core.step(false).halted;
+    ASSERT_TRUE(halted);
 
     // Both passes produced their own code's value: the overwrite was
     // picked up even though the patch block had already been decoded.
@@ -88,30 +89,6 @@ TEST(BlockCache, SelfModifyingStoreForcesRedecode)
     EXPECT_GE(s.codeResyncs, 1u);
     EXPECT_GT(s.blocksDecoded, 0u);
     EXPECT_GT(s.instsDecoded, 0u);
-}
-
-TEST(BlockCache, SelfModifyingRunMatchesUncachedPath)
-{
-    const Program prog = assemble(selfModifySource);
-
-    auto runOne = [&](bool cached, std::uint64_t &insts) {
-        MainMemory mem;
-        mem.loadProgram(prog);
-        Platform plat;
-        auto core = std::make_unique<ExecCore>(prog, mem, plat);
-        core->setBlockCacheEnabled(cached);
-        core->reset();
-        const ExecCore::FuncRunResult r = core->runFunctional(100000);
-        EXPECT_TRUE(r.halted);
-        insts = r.insts;
-        return core;
-    };
-
-    std::uint64_t cachedInsts = 0, uncachedInsts = 0;
-    auto cached = runOne(true, cachedInsts);
-    auto uncached = runOne(false, uncachedInsts);
-    EXPECT_EQ(cachedInsts, uncachedInsts);
-    expectSameArchState(cached->state(), uncached->state());
 }
 
 TEST(BlockCache, SelfModifyingPipelineMatchesUncached)
@@ -129,67 +106,6 @@ TEST(BlockCache, SelfModifyingPipelineMatchesUncached)
     expectSameArchState(on.cpu().arch(), off.cpu().arch());
     EXPECT_EQ(on.cpu().arch().readInt(10), 5u);
     EXPECT_EQ(on.cpu().arch().readInt(11), 77u);
-}
-
-TEST(BlockCache, RunFunctionalMatchesPerStepReference)
-{
-    const Workload wl = makeWorkload("mm");
-
-    MainMemory memA;
-    memA.loadProgram(wl.program);
-    Platform platA;
-    ExecCore fast(wl.program, memA, platA);
-    fast.reset();
-    const ExecCore::FuncRunResult r = fast.runFunctional(50'000'000);
-    ASSERT_TRUE(r.halted);
-
-    MainMemory memB;
-    memB.loadProgram(wl.program);
-    Platform platB;
-    ExecCore ref(wl.program, memB, platB);
-    ref.setBlockCacheEnabled(false);
-    ref.reset();
-    std::uint64_t n = 0;
-    while (!ref.step(false).halted)
-        ++n;
-    ++n;    // the HALT itself
-
-    EXPECT_EQ(r.insts, n);
-    expectSameArchState(fast.state(), ref.state());
-    EXPECT_EQ(platA.lastChecksum(), platB.lastChecksum());
-    EXPECT_EQ(platA.lastChecksum(), wl.expectedChecksum);
-}
-
-TEST(BlockCache, BudgetedRunFunctionalResumesMidBlock)
-{
-    // Tiny budgets force the fast path to stop inside blocks and
-    // resume; the aggregate must still match an unbounded run.
-    const Workload wl = makeWorkload("cnt");
-
-    MainMemory memA;
-    memA.loadProgram(wl.program);
-    Platform platA;
-    ExecCore chunked(wl.program, memA, platA);
-    chunked.reset();
-    std::uint64_t total = 0;
-    bool halted = false;
-    while (!halted) {
-        const ExecCore::FuncRunResult r = chunked.runFunctional(7);
-        total += r.insts;
-        halted = r.halted;
-        ASSERT_LT(total, 50'000'000u) << "no forward progress";
-    }
-
-    MainMemory memB;
-    memB.loadProgram(wl.program);
-    Platform platB;
-    ExecCore whole(wl.program, memB, platB);
-    whole.reset();
-    const ExecCore::FuncRunResult r = whole.runFunctional(50'000'000);
-    ASSERT_TRUE(r.halted);
-
-    EXPECT_EQ(total, r.insts);
-    expectSameArchState(chunked.state(), whole.state());
 }
 
 TEST(BlockCache, SplitLockstepCacheOnVsOff)

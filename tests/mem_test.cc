@@ -113,12 +113,9 @@ TEST(MainMemoryTest, BulkCopyRoundTripAcrossPages)
     for (std::size_t i = 0; i < src.size(); ++i)
         src[i] = static_cast<std::uint8_t>(i * 37 + 11);
     m.writeBytes(0x0FF0, src.data(), src.size());    // spans 3+ pages
-    std::vector<std::uint8_t> dst(src.size(), 0);
-    m.readBytes(0x0FF0, dst.data(), dst.size());
-    EXPECT_EQ(src, dst);
-    // Spot-check against single-byte reads (same underlying pages).
-    EXPECT_EQ(m.read(0x0FF0, 1), src[0]);
-    EXPECT_EQ(m.read(0x0FF0 + 5000, 1), src[5000]);
+    for (std::size_t i = 0; i < src.size(); ++i)
+        ASSERT_EQ(m.read(0x0FF0 + static_cast<Addr>(i), 1), src[i]) << i;
+    EXPECT_EQ(m.read(0x0FF0 + static_cast<Addr>(src.size()), 1), 0u);
 }
 
 TEST(MainMemoryTest, ClearDropsAllPages)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Block-granular profiler tests (sim/prof): install/uninstall gating,
- * the equivalence of the cached batch path, the uncached per-step
- * path, and the observer path (identical block/edge profiles and
- * architectural results), cycle-attribution reconciliation on both
+ * identical block/edge profiles from the in-order pipeline with the
+ * block cache on, off, and with an execution observer attached,
+ * cycle-attribution reconciliation on both
  * timing pipelines, checkpoint slack joins against the run-time
  * system's own AET counter, bound-side attribution summing exactly to
  * the WCET table, coverage-map monotonicity, profile-JSON
@@ -36,37 +36,22 @@ namespace visa
 namespace
 {
 
-/** Bare functional rig around one program. */
-struct FuncRig
-{
-    explicit FuncRig(const Program &prog)
-        : core(prog, mem, platform)
-    {
-        mem.loadProgram(prog);
-        core.reset();
-    }
-
-    MainMemory mem;
-    Platform platform;
-    ExecCore core;
-};
-
-/** Run @p prog to completion on a bare ExecCore under a profiler. */
+/**
+ * Run @p prog to completion on the in-order pipeline under a profiler,
+ * with the block cache on or off and, if given, @p obs watching the
+ * functional core.
+ */
 prof::BlockProfiler
-profileFunctional(const Program &prog, bool block_cache,
-                  ExecObserver *obs = nullptr)
+profileSimple(const Program &prog, bool block_cache,
+              ExecObserver *obs = nullptr)
 {
-    FuncRig rig(prog);
-    rig.core.setBlockCacheEnabled(block_cache);
-    rig.core.reset();
-    if (obs)
-        rig.core.setObserver(obs);
+    Rig rig(prog);
+    SimpleCpu &cpu = rig.build<SimpleCpu>(block_cache);
+    cpu.execCore().setObserver(obs);
     prof::BlockProfiler prof(prog);
     {
         prof::ScopedProfiler scope(prof);
-        const ExecCore::FuncRunResult r =
-            rig.core.runFunctional(50'000'000);
-        EXPECT_TRUE(r.halted);
+        EXPECT_EQ(cpu.run(noCycleLimit).reason, StopReason::Halted);
     }
     return prof;
 }
@@ -79,6 +64,7 @@ expectSameProfile(const prof::BlockProfiler &a,
     EXPECT_EQ(a.totalEntries(), b.totalEntries()) << what;
     EXPECT_EQ(a.instCounts(), b.instCounts()) << what;
     EXPECT_EQ(a.edges(), b.edges()) << what;
+    EXPECT_EQ(a.attributedCycles(), b.attributedCycles()) << what;
     const auto ba = a.blocks(), bb = b.blocks();
     ASSERT_EQ(ba.size(), bb.size()) << what;
     for (std::size_t i = 0; i < ba.size(); ++i) {
@@ -106,17 +92,18 @@ TEST(Prof, InstallUninstallGating)
     EXPECT_EQ(prof::currentProfiler(), nullptr);
 
     // An uninstalled run records nothing into the profiler.
-    FuncRig rig(wl.program);
-    EXPECT_TRUE(rig.core.runFunctional(50'000'000).halted);
+    Rig rig(wl.program);
+    EXPECT_EQ(rig.build<SimpleCpu>().run(noCycleLimit).reason,
+              StopReason::Halted);
     EXPECT_EQ(outer.totalInsts(), 0u);
     EXPECT_EQ(outer.totalEntries(), 0u);
 }
 
 TEST(Prof, CachedUncachedAndObserverPathsAgree)
 {
-    // The cached batch path, the uncached per-step dispatch, and the
-    // observer-forced per-instruction path must produce the same
-    // block/edge profile and the same architectural result.
+    // The cached dispatch, the uncached dispatch, and the cached
+    // dispatch with an observer attached must give the same block/edge
+    // profile and the same attributed cycles.
     struct NullObs final : ExecObserver
     {
         std::uint64_t steps = 0;
@@ -129,12 +116,12 @@ TEST(Prof, CachedUncachedAndObserverPathsAgree)
     for (const char *name : {"cnt", "mm", "fir"}) {
         const Workload wl = makeWorkload(name);
         const prof::BlockProfiler cached =
-            profileFunctional(wl.program, true);
+            profileSimple(wl.program, true);
         const prof::BlockProfiler uncached =
-            profileFunctional(wl.program, false);
+            profileSimple(wl.program, false);
         NullObs obs;
         const prof::BlockProfiler observed =
-            profileFunctional(wl.program, true, &obs);
+            profileSimple(wl.program, true, &obs);
 
         EXPECT_GT(cached.totalInsts(), 0u) << name;
         EXPECT_GT(cached.totalEntries(), 0u) << name;
@@ -259,13 +246,13 @@ TEST(Prof, CoverageMapMonotonicAndDeterministic)
     std::uint64_t last_pop = map.population();
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         const verify::GeneratedProgram g = verify::generate(seed, gen);
-        const prof::BlockProfiler p = profileFunctional(g.program, true);
+        const prof::BlockProfiler p = profileSimple(g.program, true);
         const std::vector<std::uint64_t> feats =
             prof::coverageFeatures(p, g.program);
         EXPECT_FALSE(feats.empty()) << "seed " << seed;
 
         const prof::BlockProfiler p2 =
-            profileFunctional(g.program, false);
+            profileSimple(g.program, false);
         EXPECT_EQ(feats, prof::coverageFeatures(p2, g.program))
             << "features must not depend on the dispatch path";
 
@@ -280,7 +267,7 @@ TEST(Prof, CoverageMapMonotonicAndDeterministic)
 TEST(Prof, ProfileJsonParsesAndMatchesAccessors)
 {
     const Workload wl = makeWorkload("cnt");
-    const prof::BlockProfiler prof = profileFunctional(wl.program, true);
+    const prof::BlockProfiler prof = profileSimple(wl.program, true);
 
     std::ostringstream os;
     prof.writeJson(os);

@@ -3,8 +3,9 @@
 # builds it, and runs the differential fuzzing suite, the end-to-end
 # trace pipeline, the assembler suites (its hand-written lexer and
 # literal parser), the WCET analyzer suites (its pc-indexed tables,
-# packed records and state stack) and the WCET table and frequency
-# solver suites (the table's row-major spans) under the sanitizers.
+# packed records and state stack), the WCET table and frequency
+# solver suites (the table's row-major spans) and the block
+# translation cache suite under the sanitizers.
 # Any sanitizer report aborts the inner ctest and fails this test.
 #
 # Expects -DSOURCE_DIR=... (the repository root).
@@ -48,7 +49,10 @@ execute_process(
             # analyzer suites. "FreqSpec" matches FreqSpecPin (the EQ 2/
             # EQ 4 solvers over the dense WCET table's rows) and
             # "CoreFixture" the WCET table, EQ 1 and solver unit tests.
-            -R "Differential|differential|Lockstep|Progen|Oracle|Corpus|Scheduler|trace_schema|prof_suite|Prof\\.|inject_suite|Inject\\.|chip_suite|Chip\\.|Assembler|Wcet|ICacheCat|CfgTest|FreqSpec|CoreFixture|RigPin"
+            # "BlockCache\\." is the whole translation-cache suite: its
+            # store-to-code tests drive the invalidation, resync and
+            # chained-block pointers.
+            -R "Differential|differential|Lockstep|Progen|Oracle|Corpus|Scheduler|trace_schema|prof_suite|Prof\\.|inject_suite|Inject\\.|chip_suite|Chip\\.|Assembler|Wcet|ICacheCat|CfgTest|FreqSpec|CoreFixture|RigPin|BlockCache\\."
             --output-on-failure
     WORKING_DIRECTORY "${build_dir}"
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)

@@ -1,13 +1,16 @@
 /**
  * @file
  * Tests for the simulation substrate: the statistics package, debug
- * flags, error channels, and the CPUs' statistics dumps.
+ * flags, error channels, the tools' numeric flag parsers, and the
+ * CPUs' statistics dumps.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
+#include "sim/cli.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "tests/test_util.hh"
@@ -111,6 +114,49 @@ TEST(LoggingTest, ErrorChannels)
         EXPECT_NE(std::string(e.what()).find("value=42"),
                   std::string::npos);
     }
+}
+
+TEST(CliTest, IntegerFlagsAreWholeTokensInRange)
+{
+    EXPECT_EQ(parseIntFlag("--tasks", "20", 1), 20);
+    EXPECT_EQ(parseIntFlag("--affinity", "-1", -1), -1);
+    EXPECT_EQ(parseIntFlag<MHz>("--freq", "4294967295", 1), 4294967295u);
+    EXPECT_EQ(
+        parseIntFlag<std::uint64_t>("--seed", "18446744073709551615"),
+        ~std::uint64_t{0});
+    for (const char *bad :
+         {"", "abc", "2x", " 2", "2 ", "+2", "0x10", "1e3", "2.0"})
+        EXPECT_THROW(parseIntFlag("--jobs", bad, 1), FatalError) << bad;
+    EXPECT_THROW(parseIntFlag("--tasks", "-5", 1), FatalError);
+    EXPECT_THROW(parseIntFlag("--tasks", "0", 1), FatalError);
+    EXPECT_THROW(parseIntFlag("--cores", "65", 1, 64), FatalError);
+    EXPECT_THROW(parseIntFlag("--tasks", "2147483648", 1), FatalError);
+    EXPECT_THROW(parseIntFlag<MHz>("--freq", "4294967296", 1), FatalError);
+    EXPECT_THROW(parseIntFlag<std::uint64_t>("--oracle-every", "-1"),
+                 FatalError);
+    EXPECT_THROW(
+        parseIntFlag<std::uint64_t>("--seed", "18446744073709551616"),
+        FatalError);
+    try {
+        parseIntFlag("--jobs", "2x", 1);
+        ADD_FAILURE() << "2x accepted";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(),
+                     "--jobs must be an integer in [1, 2147483647], not "
+                     "'2x'");
+    }
+}
+
+TEST(CliTest, DoubleFlagsAreWholeFiniteNumbers)
+{
+    EXPECT_EQ(parseDoubleFlag("--util", "0.6"), 0.6);
+    EXPECT_EQ(parseDoubleFlag("--deadline", "1e-3"), 1e-3);
+    // Ranges stay with the consumer: makeTaskSetDefs rejects it.
+    EXPECT_EQ(parseDoubleFlag("--util", "-1"), -1.0);
+    for (const char *bad :
+         {"", "abc", "1e-3x", "0.6 ", "inf", "-inf", "nan", "1e400"})
+        EXPECT_THROW(parseDoubleFlag("--deadline", bad), FatalError)
+            << bad;
 }
 
 TEST(CpuStatsTest, SimpleCpuDumpHasCoreCounters)

@@ -352,19 +352,18 @@ main(int argc, char **argv)
     std::string &threads_flag = addThreadsFlag(cli);
     std::string &cores_flag = addCoresFlag(cli);
     int max_cores = 4;    // widest chip in the chip_campaign sweep
+    int reps = 0;
     try {
         cli.parse(argc, argv);
         applyThreadsFlag(threads_flag);
         if (!cores_flag.empty())
             max_cores = parseCoresFlag(cores_flag);
+        reps = parseIntFlag("--reps", reps_flag, 1);
     } catch (const FatalError &e) {
         fprintf(stderr, "error: %s\n", e.what());
         return 2;
     }
     const char *out_path = out_flag.empty() ? nullptr : out_flag.c_str();
-    int reps = atoi(reps_flag.c_str());
-    if (reps < 1)
-        reps = 1;
 
     const Workload wl = makeWorkload("mm");
 
@@ -394,29 +393,14 @@ main(int argc, char **argv)
         return static_cast<std::uint64_t>(passes) * (64 * 1024 / 4);
     }));
 
-    results.push_back(measure("MemoryBulkCopy", reps, [] {
+    results.push_back(measure("MemoryBulkWrite", reps, [] {
         MainMemory mem;
         std::vector<std::uint8_t> buf(16 * 1024, 0xA5);
         const int passes = 20000;
-        for (int p = 0; p < passes; ++p) {
+        for (int p = 0; p < passes; ++p)
             mem.writeBytes(100, buf.data(), buf.size());
-            mem.readBytes(100, buf.data(), buf.size());
-        }
-        // items = bytes moved
-        return static_cast<std::uint64_t>(passes) * 2 * buf.size();
-    }));
-
-    results.push_back(measure("ExecCoreStep", reps, [&wl] {
-        MainMemory mem;
-        mem.loadProgram(wl.program);
-        Platform platform;
-        ExecCore core(wl.program, mem, platform);
-        std::uint64_t insts = 0;
-        for (int p = 0; p < 20; ++p) {
-            core.reset();
-            insts += core.runFunctional(20'000'000'000ULL).insts;
-        }
-        return insts;
+        // items = bytes written
+        return static_cast<std::uint64_t>(passes) * buf.size();
     }));
 
     results.push_back(measure("SimpleCpuRun", reps, [&wl] {

@@ -58,7 +58,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -583,15 +582,15 @@ main(int argc, char **argv)
             ExecCore::setBlockCacheDefault(false);
 
         Options opts;
-        opts.seed = std::strtoull(seed.c_str(), nullptr, 0);
-        opts.count = std::strtoull(count.c_str(), nullptr, 0);
+        opts.seed = parseIntFlag<std::uint64_t>("--seed", seed);
+        opts.count = parseIntFlag<std::uint64_t>("--count", count, 1);
         if (!parseProfile(profile.c_str(), opts.profile))
             fatal("unknown profile '%s'", profile.c_str());
-        opts.statements = std::atoi(statements.c_str());
+        opts.statements = parseIntFlag("--statements", statements, 1);
         opts.maxInstructions =
-            std::strtoull(max_insts.c_str(), nullptr, 0);
+            parseIntFlag<std::uint64_t>("--max-insts", max_insts, 1);
         opts.oracleEvery =
-            std::strtoull(oracle_every.c_str(), nullptr, 0);
+            parseIntFlag<std::uint64_t>("--oracle-every", oracle_every);
         opts.minimize = minimize;
         opts.crossCheckTiming = cross_timing;
         opts.coverage = coverage;

@@ -383,6 +383,7 @@ main(int argc, char **argv)
 
     try {
         cli.parse(argc, argv);
+        const int top_n = parseIntFlag("--top", top, 0);
         const std::string path = cli.positional();
         json::Value doc;
 
@@ -407,7 +408,7 @@ main(int argc, char **argv)
             auto chip = SimBuilder()
                             .workload(workload)
                             .cpu(kind)
-                            .frequency(static_cast<MHz>(std::stoul(freq)))
+                            .frequency(parseIntFlag<MHz>("--freq", freq, 1))
                             .cores(parseCoresFlag(cores))
                             .buildChip();
             prof::BlockProfiler profiler(chip->program());
@@ -440,7 +441,7 @@ main(int argc, char **argv)
                        diff_path);
             return 0;
         }
-        reportHotBlocks(doc, std::stoi(top));
+        reportHotBlocks(doc, top_n);
         if (do_edges)
             reportEdges(doc);
         if (do_slack)

@@ -173,7 +173,7 @@ resolveDeadline(const ExperimentSetup &setup,
         // Near-zero residual slack (the Fig. 4 regime): induced
         // cache/predictor flushes actually miss checkpoints here.
         return 1.02 * setup.minDeadline;
-    return std::stod(spec);
+    return parseDoubleFlag("--deadline", spec);
 }
 
 /** Periodic execution under the VISA run-time system (fig3/fig4 style). */
@@ -187,10 +187,11 @@ runUnderRuntime(const Options &o)
         fatal("--runtime must be 'visa' or 'simple', not '%s'",
               o.runtime.c_str());
 
+    const int num_tasks = parseIntFlag("--tasks", o.tasks, 1);
+    const int induce_every =
+        parseIntFlag("--induce-every", o.induce_every, 0);
     const ExperimentSetup &setup = cachedSetup(o.workload);
     const double deadline = resolveDeadline(setup, o.deadline);
-    const int num_tasks = std::stoi(o.tasks);
-    const int induce_every = std::stoi(o.induce_every);
 
     auto sim = SimBuilder()
                    .program(setup.wl.program)
@@ -304,8 +305,10 @@ runTaskSet(const Options &o)
         fatal("--governor must be 'pertask' or 'max', not '%s'",
               o.governor.c_str());
     cfg.contextSwitchCycles =
-        static_cast<Cycles>(std::stoull(o.switch_cycles));
-    cfg.quantumCycles = static_cast<Cycles>(std::stoull(o.quantum));
+        parseIntFlag<Cycles>("--switch-cycles", o.switch_cycles);
+    cfg.quantumCycles = parseIntFlag<Cycles>("--quantum", o.quantum, 1);
+    const int jobs = parseIntFlag("--jobs", o.jobs, 1);
+    const double util = parseDoubleFlag("--util", o.util);
 
     std::string force_task;
     int force_every = 1;
@@ -313,17 +316,16 @@ runTaskSet(const Options &o)
         force_task = o.force_miss;
         if (std::size_t colon = force_task.find(':');
             colon != std::string::npos) {
-            force_every = std::stoi(force_task.substr(colon + 1));
+            force_every =
+                parseIntFlag("--force-miss", force_task.substr(colon + 1), 1);
             force_task = force_task.substr(0, colon);
         }
-        if (force_every < 1)
-            fatal("--force-miss: EVERY must be at least 1");
     }
 
     const std::vector<TaskSetMemberSpec> members =
         parseTaskSet(o.taskset);
     std::vector<SchedTaskDef> defs =
-        makeTaskSetDefs(members, std::stod(o.util));
+        makeTaskSetDefs(members, util);
     bool force_matched = force_task.empty();
     for (SchedTaskDef &d : defs) {
         if (d.name == force_task) {
@@ -346,7 +348,7 @@ runTaskSet(const Options &o)
     if (tracer)
         scope = std::make_unique<ScopedTracer>(*tracer);
 
-    const ScheduleOutcome out = sched.run(std::stoi(o.jobs));
+    const ScheduleOutcome out = sched.run(jobs);
 
     if (cfg.cores > 1)
         std::printf("scheduled %d tasks on %d cores (%s %s, governor "
@@ -356,7 +358,7 @@ runTaskSet(const Options &o)
                     sched.numTasks(), cfg.cores,
                     placementName(cfg.placement),
                     schedPolicyName(cfg.policy),
-                    governorPolicyName(cfg.governor), std::stoi(o.jobs),
+                    governorPolicyName(cfg.governor), jobs,
                     out.wallSeconds * 1e3, out.preemptions,
                     out.deadlineMisses, out.checkpointMisses);
     else
@@ -364,7 +366,7 @@ runTaskSet(const Options &o)
                     "each: %.3f ms wall, %d preemptions, %d deadline "
                     "misses, %d checkpoint misses\n",
                     sched.numTasks(), schedPolicyName(cfg.policy),
-                    governorPolicyName(cfg.governor), std::stoi(o.jobs),
+                    governorPolicyName(cfg.governor), jobs,
                     out.wallSeconds * 1e3, out.preemptions,
                     out.deadlineMisses, out.checkpointMisses);
     int bad_checksums = 0;
@@ -419,7 +421,7 @@ runOnce(const Options &o, Program prog)
         kind = CpuKind::ComplexSimpleMode;
     else
         fatal("unknown --cpu '%s'", o.cpu_kind.c_str());
-    const MHz freq = static_cast<MHz>(std::stoul(o.freq));
+    const MHz freq = parseIntFlag<MHz>("--freq", o.freq, 1);
     const int cores = parseCoresFlag(o.cores);
 
     if (cores > 1) {
